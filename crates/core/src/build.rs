@@ -12,7 +12,7 @@ use cg_workloads::{GuestProgram, NetPeer};
 use crate::config::{RunTransport, VmSpec};
 use crate::error::SystemError;
 use crate::event::SystemEvent;
-use crate::system::{DeviceInstance, System, ThreadCont, ThreadCtx, VcpuRt, Vm, VmId};
+use crate::system::{CallTimer, DeviceInstance, System, ThreadCont, ThreadCtx, VcpuRt, Vm, VmId};
 
 impl System {
     /// Adds a VM to the system: admits it, dedicates cores (core-gapped
@@ -285,7 +285,7 @@ impl System {
                 handle_ctx: cg_sim::TraceCtx::NULL,
                 call_seq: 0,
                 call_attempt: 0,
-                call_timeout_token: None,
+                call_timer: CallTimer::Off,
                 call_issued_at: None,
             });
             run_channels.push(SyncChannel::new());
@@ -731,6 +731,10 @@ impl System {
         for i in 0..self.vms[vm.0].run_channels.len() {
             if self.vms[vm.0].run_channels[i].abort().is_some() {
                 self.metrics.counters.incr("chan.aborts");
+            }
+            let timer = &mut self.vms[vm.0].vcpus[i].call_timer;
+            if matches!(timer, CallTimer::Parked { .. }) {
+                *timer = CallTimer::Off;
             }
         }
         // Inter-CVM channels die with either endpoint: the RMM unmaps

@@ -364,11 +364,6 @@ pub static REGISTRY: &[CounterDef] = &[
         "duplicate/stale run-request notices dropped",
     ),
     def(
-        "rpc.timeout_serving",
-        CounterPlane::Rpc,
-        "call timeouts that found the guest still executing",
-    ),
-    def(
         "rpc.timeout_stale",
         CounterPlane::Rpc,
         "call timeouts that arrived after completion",

@@ -11,8 +11,8 @@ use cg_workloads::{GuestIrq, GuestOp, PeerPacket};
 use crate::config::RunTransport;
 use crate::event::SystemEvent;
 use crate::system::{
-    CoreRun, RunMsg, StagedIo, System, ThreadCont, VmId, VmmEffect, CVM_EXIT_SGI, HOST_KICK_SGI,
-    IO_KICK_SGI,
+    CallTimer, CoreRun, RunMsg, StagedIo, System, ThreadCont, VmId, VmmEffect, CVM_EXIT_SGI,
+    HOST_KICK_SGI, IO_KICK_SGI,
 };
 
 /// What happens when the current guest segment completes.
@@ -733,12 +733,8 @@ impl System {
                     rt.call_issued_at = Some(now);
                 }
                 if async_ipi && self.config.recovery.enabled {
-                    let seq = self.vms[vm.0].vcpus[vcpu as usize].call_seq;
                     let timeout = self.config.recovery.retry_policy().timeout_for(0);
-                    let tok = self
-                        .queue
-                        .schedule_after(timeout, SystemEvent::CallTimeout { vm, vcpu, seq });
-                    self.vms[vm.0].vcpus[vcpu as usize].call_timeout_token = Some(tok);
+                    self.arm_call_timeout(vm, vcpu, now + timeout);
                 }
                 match self.vms[vm.0].transport {
                     RunTransport::AsyncIpi => {
@@ -819,15 +815,15 @@ impl System {
                 // The call completed: bump the sequence so any in-flight
                 // timeout for it is recognised as stale, and cancel the
                 // armed one outright.
-                let tok = {
+                let timer = {
                     let rt = &mut self.vms[vm.0].vcpus[vcpu as usize];
                     rt.call_seq += 1;
                     rt.call_attempt = 0;
                     rt.call_issued_at = None;
-                    rt.call_timeout_token.take()
+                    std::mem::take(&mut rt.call_timer)
                 };
-                if let Some(tok) = tok {
-                    self.queue.cancel(tok);
+                if let CallTimer::Armed { token, .. } = timer {
+                    self.queue.cancel(token);
                 }
                 resp
             }
@@ -2504,6 +2500,7 @@ impl System {
                 self.vms[vm.0].run_channels[vcpu as usize]
                     .post_response(exit, post_at)
                     .expect("run channel must be serving");
+                self.resume_call_timeout(vm, vcpu);
                 self.vms[vm.0].run_channels[vcpu as usize].set_response_ctx(exit_ctx);
                 self.cores[core.index()].run = CoreRun::RmmPolling;
                 self.machine

@@ -7,7 +7,7 @@ use cg_sim::{SimDuration, SimTime};
 
 use crate::event::SystemEvent;
 use crate::exec::GuestCont;
-use crate::system::{CoreRun, System, ThreadCont, VmId, CVM_EXIT_SGI, IO_KICK_SGI};
+use crate::system::{CallTimer, CoreRun, System, ThreadCont, VmId, CVM_EXIT_SGI, IO_KICK_SGI};
 
 impl System {
     /// Dispatches one event.
@@ -340,6 +340,7 @@ impl System {
         let msg = self.vms[vm.0].run_channels[vcpu as usize]
             .take_request(now, &machine_params)
             .expect("run request visible when scheduled");
+        self.park_call_timeout(vm, vcpu);
         // The dedicated core's RMM re-enters the realm on behalf of the
         // host's request: a zero-length injection marker links the entry
         // into the request's trace (the REC_ENTER cost is the following
@@ -474,17 +475,66 @@ impl System {
         );
     }
 
+    /// Queues the in-flight call's timeout for `at`.
+    pub(crate) fn arm_call_timeout(&mut self, vm: VmId, vcpu: u32, at: SimTime) {
+        let seq = self.vms[vm.0].vcpus[vcpu as usize].call_seq;
+        let token = self
+            .queue
+            .schedule_at(at, SystemEvent::CallTimeout { vm, vcpu, seq });
+        self.vms[vm.0].vcpus[vcpu as usize].call_timer = CallTimer::Armed { token, at };
+    }
+
+    /// `Requested → Serving`: the guest now executes and cannot stall the
+    /// call, so the timeout chain is parked rather than left to fire once
+    /// per period until the exit.
+    fn park_call_timeout(&mut self, vm: VmId, vcpu: u32) {
+        let rt = &mut self.vms[vm.0].vcpus[vcpu as usize];
+        if let CallTimer::Armed { token, at } = rt.call_timer {
+            rt.call_timer = CallTimer::Parked { at };
+            self.queue.cancel(token);
+        }
+    }
+
+    /// `Serving → Responded`: re-queues a parked chain at its first point
+    /// strictly after now, i.e. the instant the chain would have fired
+    /// next had it kept re-arming every period while `Serving`. A point
+    /// equal to now counts as passed: that hop would have been queued a
+    /// period earlier than the event posting the exit, so it would have
+    /// popped first and found the guest still executing.
+    pub(crate) fn resume_call_timeout(&mut self, vm: VmId, vcpu: u32) {
+        let rt = &self.vms[vm.0].vcpus[vcpu as usize];
+        let CallTimer::Parked { at } = rt.call_timer else {
+            return;
+        };
+        let now = self.queue.now();
+        let next = if at > now {
+            at
+        } else {
+            let period = self
+                .config
+                .recovery
+                .retry_policy()
+                .timeout_for(rt.call_attempt)
+                .as_nanos()
+                .max(1);
+            let hops = now.duration_since(at).as_nanos() / period + 1;
+            at + SimDuration::nanos(hops * period)
+        };
+        self.arm_call_timeout(vm, vcpu, next);
+    }
+
     /// The client-side call timeout fired: decide whether the in-flight
     /// async run call needs a re-kick (poll notice lost), a re-ring
-    /// (response doorbell lost), or nothing (stale / guest still
-    /// executing), re-arming with exponential backoff.
+    /// (response doorbell lost), or nothing (stale), re-arming with
+    /// exponential backoff.
     fn on_call_timeout(&mut self, vm: VmId, vcpu: u32, seq: u64) {
         use cg_rpc::ChannelState;
-        let rt = &self.vms[vm.0].vcpus[vcpu as usize];
+        let rt = &mut self.vms[vm.0].vcpus[vcpu as usize];
         if rt.call_seq != seq {
             self.metrics.counters.incr("rpc.timeout_stale");
             return;
         }
+        rt.call_timer = CallTimer::Off;
         let vtid = rt.thread;
         let awaiting = matches!(
             self.threads.get(&vtid).map(|t| &t.cont),
@@ -499,20 +549,16 @@ impl System {
         let now = self.queue.now();
         let policy = self.config.recovery.retry_policy();
         let state = self.vms[vm.0].run_channels[vcpu as usize].state();
+        // The chain is parked while the guest executes.
+        debug_assert_ne!(
+            state,
+            ChannelState::Serving,
+            "call timeout fired for {vm}.vcpu{vcpu} while Serving"
+        );
         let attempt = self.vms[vm.0].vcpus[vcpu as usize].call_attempt;
         match state {
-            ChannelState::Idle => {
+            ChannelState::Idle | ChannelState::Serving => {
                 self.metrics.counters.incr("rpc.timeout_stale");
-            }
-            ChannelState::Serving => {
-                // The guest is executing: not a fault, the call is just
-                // long-running. Keep watching at the same backoff step.
-                self.metrics.counters.incr("rpc.timeout_serving");
-                let tok = self.queue.schedule_after(
-                    policy.timeout_for(attempt),
-                    SystemEvent::CallTimeout { vm, vcpu, seq },
-                );
-                self.vms[vm.0].vcpus[vcpu as usize].call_timeout_token = Some(tok);
             }
             ChannelState::Requested => {
                 // The request is posted but the dedicated core never took
@@ -535,11 +581,7 @@ impl System {
                 } else {
                     self.metrics.counters.incr("fault.request_wedged");
                 }
-                let tok = self.queue.schedule_after(
-                    policy.timeout_for(attempt),
-                    SystemEvent::CallTimeout { vm, vcpu, seq },
-                );
-                self.vms[vm.0].vcpus[vcpu as usize].call_timeout_token = Some(tok);
+                self.arm_call_timeout(vm, vcpu, now + policy.timeout_for(attempt));
             }
             ChannelState::Responded => {
                 // The exit is posted but the doorbell never arrived.
@@ -570,11 +612,7 @@ impl System {
                 } else {
                     self.metrics.counters.incr("fault.doorbell_dropped");
                 }
-                let tok = self.queue.schedule_after(
-                    policy.timeout_for(attempt),
-                    SystemEvent::CallTimeout { vm, vcpu, seq },
-                );
-                self.vms[vm.0].vcpus[vcpu as usize].call_timeout_token = Some(tok);
+                self.arm_call_timeout(vm, vcpu, now + policy.timeout_for(attempt));
             }
         }
     }

@@ -368,6 +368,25 @@ impl IvcChannelRt {
     }
 }
 
+/// The client-side timeout chain of a vCPU's in-flight async run call.
+///
+/// The chain fires every `timeout_for(call_attempt)` while the call is
+/// stuck in `Requested` or `Responded`. While the guest executes
+/// (`Serving`) nothing can stall, so the chain is parked instead of
+/// polled: [`System`] cancels the queued timeout when the dedicated core
+/// takes the request and re-schedules it when the exit is posted, at the
+/// first point of the same chain after that instant.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) enum CallTimer {
+    /// No timeout queued: no call in flight, or its transport has none.
+    #[default]
+    Off,
+    /// A [`crate::event::SystemEvent::CallTimeout`] is queued for `at`.
+    Armed { token: EventToken, at: SimTime },
+    /// The call is `Serving`; `at` is the chain's next point.
+    Parked { at: SimTime },
+}
+
 /// Per-vCPU runtime state.
 #[derive(Debug)]
 pub(crate) struct VcpuRt {
@@ -400,8 +419,8 @@ pub(crate) struct VcpuRt {
     pub call_seq: u64,
     /// Attempts made for the in-flight call (0 = original issue).
     pub call_attempt: u32,
-    /// Token of the armed call-timeout event, if any.
-    pub call_timeout_token: Option<EventToken>,
+    /// The in-flight call's timeout chain.
+    pub call_timer: CallTimer,
     /// When the in-flight async call was first issued (wedge detection).
     pub call_issued_at: Option<SimTime>,
 }

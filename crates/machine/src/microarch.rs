@@ -16,7 +16,6 @@
 //!   distrusting domain runs.
 
 use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 
 use cg_sim::SimDuration;
 
@@ -66,6 +65,11 @@ impl Structure {
         Structure::BranchPredictor,
         Structure::FillBuffer,
     ];
+
+    /// The structure's bit in a taint mask.
+    fn mask(self) -> u8 {
+        1 << self as u8
+    }
 
     /// Returns `true` if the structure is private to a core.
     pub fn is_per_core(self) -> bool {
@@ -164,7 +168,10 @@ impl Warmth {
 #[derive(Debug, Clone, Default)]
 pub struct MicroArch {
     warmth: BTreeMap<Domain, Warmth>,
-    taint: BTreeMap<Structure, BTreeSet<TaintLabel>>,
+    /// Every footprint label present on the core, with the structures
+    /// holding it as a mask of [`Structure`] bits. A compute step leaves
+    /// one label in every structure, which is one lookup here.
+    taint: BTreeMap<TaintLabel, u8>,
 }
 
 impl MicroArch {
@@ -196,10 +203,7 @@ impl MicroArch {
         let slowdown = self.slowdown(domain, params);
         let wall = work.scaled(slowdown);
         self.advance_warmth(domain, wall, params);
-        let label = TaintLabel::plain(domain);
-        for s in Structure::ALL {
-            self.touch(s, label);
-        }
+        self.touch_all(TaintLabel::plain(domain));
         wall
     }
 
@@ -210,10 +214,7 @@ impl MicroArch {
     /// are evicted and footprints are left behind.
     pub fn run_fixed(&mut self, domain: Domain, wall: SimDuration, params: &HwParams) {
         self.advance_warmth(domain, wall, params);
-        let label = TaintLabel::plain(domain);
-        for s in Structure::ALL {
-            self.touch(s, label);
-        }
+        self.touch_all(TaintLabel::plain(domain));
     }
 
     /// Like [`MicroArch::run_compute`], but the computation is
@@ -227,10 +228,7 @@ impl MicroArch {
         params: &HwParams,
     ) -> SimDuration {
         let wall = self.run_compute(domain, work, params);
-        let label = TaintLabel::secret(domain, secret);
-        for s in Structure::ALL {
-            self.touch(s, label);
-        }
+        self.touch_all(TaintLabel::secret(domain, secret));
         wall
     }
 
@@ -256,16 +254,33 @@ impl MicroArch {
         for w in self.warmth.values_mut() {
             w.bp = 0.0;
         }
-        for s in Structure::ALL {
-            if s.cleared_by_mitigation() {
-                self.taint.remove(&s);
-            }
-        }
+        let cleared = Structure::ALL
+            .into_iter()
+            .filter(|s| s.cleared_by_mitigation())
+            .fold(0, |mask, s| mask | s.mask());
+        self.taint.retain(|_, mask| {
+            *mask &= !cleared;
+            *mask != 0
+        });
     }
 
     /// Records a footprint in `structure`.
     pub fn touch(&mut self, structure: Structure, label: TaintLabel) {
-        self.taint.entry(structure).or_default().insert(label);
+        *self.taint.entry(label).or_insert(0) |= structure.mask();
+    }
+
+    /// Records a footprint in every structure.
+    fn touch_all(&mut self, label: TaintLabel) {
+        const ALL: u8 = (1 << Structure::ALL.len()) - 1;
+        *self.taint.entry(label).or_insert(0) |= ALL;
+    }
+
+    /// The labels present in `structure`, in label order.
+    fn labels_in(&self, structure: Structure) -> impl Iterator<Item = TaintLabel> + '_ {
+        self.taint
+            .iter()
+            .filter(move |(_, mask)| *mask & structure.mask() != 0)
+            .map(|(label, _)| *label)
     }
 
     /// Returns the foreign footprints `observer` could learn by probing
@@ -276,23 +291,14 @@ impl MicroArch {
     /// decides whether the observer can architecturally reach the
     /// structure (same core for per-core structures).
     pub fn probe(&self, structure: Structure, observer: Domain) -> Vec<TaintLabel> {
-        self.taint
-            .get(&structure)
-            .map(|set| {
-                set.iter()
-                    .filter(|l| l.domain.leaks_to(observer))
-                    .copied()
-                    .collect()
-            })
-            .unwrap_or_default()
+        self.labels_in(structure)
+            .filter(|l| l.domain.leaks_to(observer))
+            .collect()
     }
 
     /// All labels currently present in `structure`.
     pub fn footprints(&self, structure: Structure) -> Vec<TaintLabel> {
-        self.taint
-            .get(&structure)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
+        self.labels_in(structure).collect()
     }
 
     /// Current residency of `domain` in the L1, in `[0, 1]`.
@@ -323,6 +329,15 @@ mod tests {
 
     const HOST: Domain = Domain::Host;
     const R1: Domain = Domain::Realm(RealmId(1));
+
+    #[test]
+    fn structure_masks_are_distinct_bits() {
+        let all = Structure::ALL.into_iter().fold(0u8, |acc, s| {
+            assert_eq!(acc & s.mask(), 0, "{s:?} shares a bit");
+            acc | s.mask()
+        });
+        assert_eq!(all, (1 << Structure::ALL.len()) - 1);
+    }
 
     #[test]
     fn cold_start_is_max_slowdown() {

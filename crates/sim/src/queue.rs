@@ -1,22 +1,41 @@
 //! The cancellable, deterministically ordered event queue.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
 
 /// A handle to a scheduled event, used to cancel it before it fires.
 ///
-/// Tokens are unique for the lifetime of an [`EventQueue`]; cancelling a
-/// token whose event has already fired (or was already cancelled) is a
-/// harmless no-op that returns `false`.
+/// A token names a slot of the queue's slab and the generation the slot
+/// had when the event was scheduled. The slot's generation moves on when
+/// its event fires or is cancelled, so cancelling a token whose event has
+/// already fired (or was already cancelled) is a harmless no-op that
+/// returns `false`, even after the slot has been reused by a later event
+/// (until that one slot has been reused 2³² times).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventToken(u64);
+
+impl EventToken {
+    fn new(slot: u32, generation: u32) -> EventToken {
+        EventToken(u64::from(generation) << 32 | u64::from(slot))
+    }
+
+    fn slot(self) -> usize {
+        self.0 as u32 as usize
+    }
+
+    fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+}
 
 #[derive(Debug)]
 struct Entry<E> {
     time: SimTime,
     seq: u64,
+    slot: u32,
+    generation: u32,
     event: E,
 }
 
@@ -49,6 +68,12 @@ impl<E> Ord for Entry<E> {
 /// current simulation clock: [`EventQueue::pop`] advances it to the fired
 /// event's timestamp, and scheduling in the past is a logic error.
 ///
+/// Liveness is kept in a slab of generation-stamped slots, one per heap
+/// entry: an entry is live while its generation equals its slot's.
+/// Cancelling bumps the slot's generation, leaving the entry in the heap
+/// as a tombstone; a slot is recycled only once its entry has left the
+/// heap, so the slab is as large as the heap's high-water mark.
+///
 /// # Example
 ///
 /// ```
@@ -64,10 +89,15 @@ impl<E> Ord for Entry<E> {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
-    /// Seqs of events still in the heap and not cancelled.
-    pending: HashSet<u64>,
-    /// Seqs cancelled while still in the heap; lazily skipped on pop/peek.
-    cancelled: HashSet<u64>,
+    /// Current generation of each slot. A slot whose entry is in the heap
+    /// is live iff the entry carries this generation.
+    generations: Vec<u32>,
+    /// Slots with no entry in the heap, reused last-freed first.
+    free: Vec<u32>,
+    /// Live (scheduled, not yet fired or cancelled) events.
+    live: usize,
+    /// Cancelled entries still in the heap; lazily skipped on pop/peek.
+    tombstones: usize,
     now: SimTime,
     next_seq: u64,
 }
@@ -83,8 +113,10 @@ impl<E> EventQueue<E> {
     pub fn new() -> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
-            pending: HashSet::new(),
-            cancelled: HashSet::new(),
+            generations: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+            tombstones: 0,
             now: SimTime::ZERO,
             next_seq: 0,
         }
@@ -109,13 +141,21 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
+        let slot = self.free.pop().unwrap_or_else(|| {
+            let slot = u32::try_from(self.generations.len()).expect("event slab overflow");
+            self.generations.push(0);
+            slot
+        });
+        let generation = self.generations[slot as usize];
         self.heap.push(Entry {
             time: at,
             seq,
+            slot,
+            generation,
             event,
         });
-        self.pending.insert(seq);
-        EventToken(seq)
+        self.live += 1;
+        EventToken::new(slot, generation)
     }
 
     /// Schedules `event` to fire `after` from the current clock.
@@ -134,13 +174,21 @@ impl<E> EventQueue<E> {
     /// Returns `true` if the event was still pending, `false` if it already
     /// fired or was already cancelled.
     pub fn cancel(&mut self, token: EventToken) -> bool {
-        if self.pending.remove(&token.0) {
-            self.cancelled.insert(token.0);
-            self.maybe_compact();
-            true
-        } else {
-            false
+        match self.generations.get_mut(token.slot()) {
+            Some(generation) if *generation == token.generation() => {
+                *generation = generation.wrapping_add(1);
+                self.live -= 1;
+                self.tombstones += 1;
+                self.maybe_compact();
+                true
+            }
+            _ => false,
         }
+    }
+
+    /// `true` if `entry` was cancelled while in the heap.
+    fn is_tombstone(&self, entry: &Entry<E>) -> bool {
+        self.generations[entry.slot as usize] != entry.generation
     }
 
     /// Rebuilds the heap without cancelled entries once they dominate it.
@@ -153,18 +201,24 @@ impl<E> EventQueue<E> {
     /// worth it), filter them out in one O(n) pass. The amortised cost per
     /// cancel stays O(log n): each rebuild removes at least half the heap,
     /// so an entry is touched by at most O(log n) rebuilds.
+    ///
+    /// Checked after every cancel and every pop (both shrink the live
+    /// set), so the heap never exceeds `max(63, 2 × len())` entries.
     fn maybe_compact(&mut self) {
         const MIN_HEAP_FOR_COMPACTION: usize = 64;
-        if self.heap.len() < MIN_HEAP_FOR_COMPACTION || self.cancelled.len() * 2 <= self.heap.len()
-        {
+        if self.heap.len() < MIN_HEAP_FOR_COMPACTION || self.tombstones * 2 <= self.heap.len() {
             return;
         }
-        let cancelled = std::mem::take(&mut self.cancelled);
-        let entries = std::mem::take(&mut self.heap).into_vec();
-        self.heap = entries
-            .into_iter()
-            .filter(|e| !cancelled.contains(&e.seq))
-            .collect();
+        let mut entries = std::mem::take(&mut self.heap).into_vec();
+        entries.retain(|e| {
+            let live = self.generations[e.slot as usize] == e.generation;
+            if !live {
+                self.free.push(e.slot);
+            }
+            live
+        });
+        self.tombstones = 0;
+        self.heap = BinaryHeap::from(entries);
     }
 
     /// Number of entries physically in the heap, including cancelled
@@ -178,11 +232,17 @@ impl<E> EventQueue<E> {
     /// timestamp. Returns `None` when no live events remain.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         while let Some(entry) = self.heap.pop() {
-            if self.cancelled.remove(&entry.seq) {
+            self.free.push(entry.slot);
+            if self.is_tombstone(&entry) {
+                self.tombstones -= 1;
                 continue;
             }
-            self.pending.remove(&entry.seq);
+            // Retire the token: a later cancel of it must report `false`.
+            let generation = &mut self.generations[entry.slot as usize];
+            *generation = generation.wrapping_add(1);
+            self.live -= 1;
             self.now = entry.time;
+            self.maybe_compact();
             return Some((entry.time, entry.event));
         }
         None
@@ -191,9 +251,10 @@ impl<E> EventQueue<E> {
     /// Returns the timestamp of the next live event without firing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         while let Some(entry) = self.heap.peek() {
-            if self.cancelled.contains(&entry.seq) {
-                let seq = self.heap.pop().expect("peeked entry vanished").seq;
-                self.cancelled.remove(&seq);
+            if self.is_tombstone(entry) {
+                let slot = self.heap.pop().expect("peeked entry vanished").slot;
+                self.free.push(slot);
+                self.tombstones -= 1;
                 continue;
             }
             return Some(entry.time);
@@ -203,12 +264,12 @@ impl<E> EventQueue<E> {
 
     /// Returns the number of live (non-cancelled) pending events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.live
     }
 
     /// Returns `true` if no live events are pending.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.live == 0
     }
 
     /// Advances the clock directly to `at` without firing an event.
@@ -298,6 +359,36 @@ mod tests {
         assert!(!q.cancel(tok));
         assert_eq!(q.len(), 1);
         assert_eq!(q.pop().unwrap().1, "b");
+    }
+
+    #[test]
+    fn stale_token_cannot_cancel_the_event_reusing_its_slot() {
+        let mut q = EventQueue::new();
+        let old = q.schedule_after(SimDuration::nanos(1), "old");
+        assert_eq!(q.pop().unwrap().1, "old");
+        // The fired event's slot is free again; the next event takes it.
+        let new = q.schedule_after(SimDuration::nanos(1), "new");
+        assert_eq!(old.slot(), new.slot(), "slot was not reused");
+        assert!(!q.cancel(old));
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.pop().unwrap().1, "new");
+        assert!(!q.cancel(new));
+    }
+
+    #[test]
+    fn stale_token_of_a_cancelled_event_cannot_cancel_its_slot_successor() {
+        let mut q = EventQueue::new();
+        let old = q.schedule_after(SimDuration::nanos(1), "old");
+        q.schedule_after(SimDuration::nanos(5), "keep");
+        assert!(q.cancel(old));
+        // The tombstone holds the slot until a peek or pop skips it.
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(5)));
+        let new = q.schedule_after(SimDuration::nanos(2), "new");
+        assert_eq!(old.slot(), new.slot(), "slot was not reused");
+        assert!(!q.cancel(old));
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop().unwrap().1, "new");
+        assert_eq!(q.pop().unwrap().1, "keep");
     }
 
     #[test]
@@ -391,6 +482,31 @@ mod tests {
         // All live events still fire, in order.
         let order: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, (0..10).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn popping_live_events_past_tombstones_keeps_heap_bounded() {
+        // Cancel the late half, then pop the early half: the tombstones
+        // sit behind every live event, so only the pop-side check can
+        // reclaim them.
+        let mut q = EventQueue::new();
+        let late: Vec<_> = (0..200u64)
+            .map(|i| q.schedule_at(SimTime::from_nanos(1_000 + i), i))
+            .collect();
+        for i in 0..200u64 {
+            q.schedule_at(SimTime::from_nanos(i), i);
+        }
+        for tok in late {
+            assert!(q.cancel(tok));
+        }
+        while q.pop().is_some() {
+            assert!(
+                q.heap_len() <= 2 * q.len() + 64,
+                "heap {} entries for {} live",
+                q.heap_len(),
+                q.len()
+            );
+        }
     }
 
     #[test]

@@ -281,8 +281,15 @@ impl Counters {
     }
 
     /// Adds `n` to the counter named `key`, creating it at zero if absent.
+    ///
+    /// Allocates the key only on a counter's first insert.
     pub fn add(&mut self, key: &str, n: u64) {
-        *self.map.entry(key.to_owned()).or_insert(0) += n;
+        match self.map.get_mut(key) {
+            Some(v) => *v += n,
+            None => {
+                self.map.insert(key.to_owned(), n);
+            }
+        }
     }
 
     /// Adds one to the counter named `key`.

@@ -121,6 +121,20 @@ PY
   done
   cmp "$tmp/fa.json" "$tmp/fb.json"
 
+  echo "== golden outputs (a fresh --quick sweep must equal results/golden/) =="
+  # Regenerate after an intended output change with
+  #   for g in results/golden/*.json; do b=$(basename "$g" .json);
+  #     ./target/release/$b --quick --json "$g" >/dev/null; done
+  # and say in CHANGES.md which keys moved and why.
+  for golden in results/golden/*.json; do
+    b="$(basename "$golden" .json)"
+    ./target/release/"$b" --quick --json "$tmp/golden-$b.json" >/dev/null
+    if ! cmp -s "$golden" "$tmp/golden-$b.json"; then
+      echo "golden mismatch: $b (compare $golden with a fresh --quick run)" >&2
+      exit 1
+    fi
+  done
+
   echo "== cargo doc (deny warnings; vendored stand-ins excluded) =="
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet \
     --exclude rand --exclude proptest --exclude criterion --exclude serde

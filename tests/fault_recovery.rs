@@ -152,3 +152,95 @@ fn watchdog_alone_recovers_stranded_exits() {
     );
     assert_eq!(r.wedged_channels, 0);
 }
+
+/// The call-timeout chain keeps its phase across long guest runs: a
+/// core-gapped CoreMark vCPU computes for several call timeouts between
+/// exits, every exit doorbell is dropped and the watchdog is off, so the
+/// chain alone must notice. Each call's first retry must fire at the
+/// first point `call_issued_at + k·timeout_for(0)` after its exit — where
+/// a timer re-armed every period while the guest ran would have fired —
+/// and the retries must heal every wedge without any timeout finding the
+/// guest still executing.
+#[test]
+fn call_timeout_chain_keeps_its_phase_across_long_guest_runs() {
+    use cg_core::{System, SystemConfig, TraceOptions, VmSpec};
+    use cg_sim::{SimTime, TraceKind};
+    use cg_workloads::coremark::CoremarkPro;
+    use cg_workloads::kernel::GuestKernel;
+
+    let mut config = SystemConfig::paper_default();
+    config.machine.num_cores = 2;
+    config.fault = FaultPlan::doorbell_loss(1.0);
+    // Two dropped re-rings, then the exhausted third retry rings
+    // regardless of injection.
+    config.recovery = RecoveryConfig {
+        max_retries: 2,
+        watchdog_period: SimDuration::ZERO,
+        ..RecoveryConfig::paper_default()
+    };
+    let policy = config.recovery.retry_policy();
+    let timeout = policy.timeout_for(0);
+    // A console write forces an exit every 3 ms: after the 1.4 ms retry
+    // ladder, the guest computes for about eight base timeouts.
+    let console = SimDuration::millis(3);
+    let app = CoremarkPro::new(1, SimDuration::micros(100));
+    let guest =
+        GuestKernel::new(1, config.host.guest_hz, Box::new(app)).with_console_writes(console);
+    let mut system = System::new(config);
+    system.configure_trace(TraceOptions::new().structured_capture());
+    system
+        .add_vm(VmSpec::core_gapped(1), Box::new(guest), None)
+        .expect("admission");
+    system.run_for(SimDuration::millis(20));
+
+    let records = system.structured_records();
+    let rpc = |needle: &str| -> Vec<SimTime> {
+        records
+            .iter()
+            .filter(|r| r.kind == TraceKind::Rpc && r.detail.contains(needle))
+            .map(|r| r.time)
+            .collect()
+    };
+    let issues = rpc("chan.post_request");
+    let exits = rpc("chan.post_response");
+    let first_retries = rpc("rpc.retry attempt=1 stuck=responded");
+    let mut long_calls = 0;
+    for (call, &issued) in issues.iter().enumerate() {
+        let next_issue = issues.get(call + 1).copied().unwrap_or(SimTime::MAX);
+        let Some(&exited) = exits.iter().find(|&&e| e > issued && e < next_issue) else {
+            continue; // still executing when the run ended
+        };
+        let Some(&retry) = first_retries
+            .iter()
+            .find(|&&t| t > exited && t < next_issue)
+        else {
+            continue; // retries still pending when the run ended
+        };
+        let periods = exited.duration_since(issued).as_nanos() / timeout.as_nanos() + 1;
+        let expected = issued + SimDuration::nanos(periods * timeout.as_nanos());
+        assert_eq!(
+            retry, expected,
+            "call {call} issued at {issued}, exit posted at {exited}"
+        );
+        if exited.duration_since(issued) > timeout * 3 {
+            long_calls += 1;
+        }
+    }
+    assert!(
+        long_calls >= 3,
+        "only {long_calls} calls outlasted three timeouts"
+    );
+
+    let c = &system.metrics().counters;
+    assert!(c.get("fault.doorbell_dropped") > 0, "injector must bite");
+    assert_eq!(c.get("rpc.timeout_serving"), 0);
+    // A call lives at most one console period plus the retry ladder.
+    let ladder: SimDuration = (0..=policy.max_retries)
+        .map(|a| policy.timeout_for(a))
+        .fold(SimDuration::ZERO, |sum, t| sum + t);
+    assert_eq!(
+        system.wedged_channels(console + ladder + timeout),
+        0,
+        "every wedge heals"
+    );
+}
