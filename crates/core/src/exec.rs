@@ -83,6 +83,7 @@ impl System {
         &mut self,
         core: CoreId,
     ) -> (SimDuration, SimDuration, SimDuration) {
+        self.settle_fast_run(core, false);
         let now = self.queue.now();
         let cs = &mut self.cores[core.index()];
         let token = cs.seg_token.take().expect("no segment to truncate");
@@ -99,6 +100,157 @@ impl System {
         (elapsed, remaining, completed_work)
     }
 
+    // ================= fast tier: merged compute runs =================
+    //
+    // A core-gapped vCPU's dedicated core runs nothing but that vCPU and
+    // the RMM, so between interrupts nothing can observe it. When such a
+    // vCPU starts a plain compute op and its guest promises more compute
+    // (`GuestProgram::peek_compute`), one segment covers the op and the
+    // chunks that follow it. The boundaries ride the event queue as the
+    // links of a chain, so every event is ordered exactly as against the
+    // per-op tier's `SegmentEnd`s, and how many links have passed tells
+    // which chunks have started. The effects of the chunks after the
+    // first (warmth, guest state) are applied when the run ends or is
+    // cut short (`settle_fast_run`).
+
+    /// Fewest chunks worth a merged run: setting one up, passing its
+    /// links and settling it cost about as much as 2.5 per-op chunks
+    /// (measured on the `tenant_churn` benchmark workload), so shorter
+    /// runs stay on the per-op tier.
+    const FAST_RUN_MIN_CHUNKS: usize = 4;
+    /// Most chunks one merged run covers: bounds the look-ahead wasted
+    /// when a run is cut short.
+    const FAST_RUN_MAX_CHUNKS: usize = 64;
+
+    /// Starts a merged run whose first chunk is the compute op just
+    /// charged (`remaining` work in `wall`), if the fast tier's
+    /// preconditions hold. Returns `false`, leaving the simulation as it
+    /// was, when the per-op tier must run the op.
+    fn try_fast_run(
+        &mut self,
+        core: CoreId,
+        vm: VmId,
+        vcpu: u32,
+        op: GuestOp,
+        remaining: SimDuration,
+        wall: SimDuration,
+    ) -> bool {
+        let Some(horizon) = self.fast_horizon else {
+            return false;
+        };
+        let now = self.queue.now();
+        let one = SimDuration::nanos(1);
+        let mut end = now + wall.max(one);
+        // A second chunk needs room: most attempts end here or at the
+        // next check, before the guest or the warmth model is asked.
+        if end >= horizon {
+            return false;
+        }
+        // The run ends by the horizon and strictly before anything that
+        // interrupts the vCPU or reads the core: its timer, its emulated
+        // timer, a time-series sample.
+        let strict = [
+            self.machine.timer(core).deadline(),
+            self.vms[vm.0].kvm.emul_vtimer(vcpu),
+            self.obs_pending.iter().min().copied(),
+        ];
+        let limit = strict
+            .into_iter()
+            .flatten()
+            .map(|t| SimTime::from_nanos(t.as_nanos().saturating_sub(1)))
+            .fold(horizon, SimTime::min);
+        if end >= limit {
+            return false;
+        }
+        let Some((work, until)) = self.vms[vm.0].guest.peek_compute(vcpu, now) else {
+            return false;
+        };
+        // The next chunk starts at `end` and takes at least `work`.
+        if work.is_zero() || end >= until || end + work > limit {
+            return false;
+        }
+        let domain = Domain::Realm(self.vms[vm.0].kvm.realm());
+        let fast = &mut self.cores[core.index()].fast;
+        self.machine.start_lookahead(core, domain, &mut fast.ahead);
+        let params = self.machine.params();
+        fast.ends.clear();
+        fast.ends.push(end);
+        // A chunk starting at or after `until` is not compute.
+        while end < until && fast.ends.len() < Self::FAST_RUN_MAX_CHUNKS {
+            end += fast.ahead.next_wall(work, params).max(one);
+            if end > limit {
+                break;
+            }
+            fast.ends.push(end);
+        }
+        let n = fast.ends.len();
+        if n < Self::FAST_RUN_MIN_CHUNKS {
+            return false;
+        }
+        fast.active = true;
+        fast.work = work;
+        self.vms[vm.0].cur_op[vcpu as usize] = Some((op, remaining));
+        let cs = &mut self.cores[core.index()];
+        debug_assert!(
+            cs.seg_token.is_none(),
+            "segment already in flight on {core}"
+        );
+        cs.guest_cont = Some(GuestCont::ComputeDone);
+        cs.seg_started = now;
+        cs.seg_wall = cs.fast.ends[0] - now;
+        cs.seg_work = remaining;
+        let token = self.queue.schedule_chain(
+            &cs.fast.ends[..n - 1],
+            cs.fast.ends[n - 1],
+            SystemEvent::SegmentEnd {
+                core,
+                epoch: cs.epoch,
+            },
+        );
+        cs.seg_token = Some(token);
+        true
+    }
+
+    /// Turns the merged run in flight on `core` (if any) into the per-op
+    /// tier's state at this instant: applies the chunks that have started
+    /// since the first and makes the in-flight segment the current
+    /// chunk's. With `cut`, the segment's event is also moved to the
+    /// current chunk's end, in the place the per-op tier gives it, so
+    /// the run goes on op by op; otherwise the caller is about to cancel
+    /// or replace that event.
+    #[inline]
+    pub(crate) fn settle_fast_run(&mut self, core: CoreId, cut: bool) {
+        if self.cores[core.index()].fast.active {
+            self.settle_active_fast_run(core, cut);
+        }
+    }
+
+    fn settle_active_fast_run(&mut self, core: CoreId, cut: bool) {
+        let cs = &mut self.cores[core.index()];
+        cs.fast.active = false;
+        let CoreRun::Guest { vm, vcpu } = cs.run else {
+            unreachable!("merged run on a core without a guest")
+        };
+        let passed = match cs.seg_token {
+            Some(token) if cut => self.queue.cut_chain(token),
+            Some(token) => self.queue.chain_links_passed(token),
+            None => None,
+        };
+        // No pending chain: its last link passed (the chain's event is
+        // queued, or firing now), so the last chunk is the current one.
+        let passed = passed.unwrap_or(cs.fast.ends.len() - 1);
+        if passed == 0 {
+            return; // still in the first chunk, which the segment fields describe
+        }
+        let work = cs.fast.work;
+        cs.seg_started = cs.fast.ends[passed - 1];
+        cs.seg_wall = cs.fast.ends[passed] - cs.seg_started;
+        cs.seg_work = work;
+        self.machine.apply_lookahead(core, &cs.fast.ahead, passed);
+        self.vms[vm.0].guest.commit_compute(vcpu, passed as u64);
+        self.vms[vm.0].cur_op[vcpu as usize] = Some((GuestOp::Compute { work }, work));
+    }
+
     fn account_host_busy(&mut self, core: CoreId, wall: SimDuration) {
         if core.index() < self.config.num_host_cores as usize {
             self.metrics.add_host_busy(core.index(), wall);
@@ -111,6 +263,7 @@ impl System {
         if cost.is_zero() {
             return;
         }
+        self.settle_fast_run(core, false);
         let now = self.queue.now();
         let cs = &mut self.cores[core.index()];
         if let Some(token) = cs.seg_token.take() {
@@ -1333,6 +1486,9 @@ impl System {
         if self.config.napi && running {
             // NAPI: the payload is already in guest memory (DMA); the
             // busy guest picks it up by polling, no injection needed.
+            // That changes what the guest does next, so a merged compute
+            // run goes back to op-by-op execution here.
+            self.settle_fast_run(core, true);
             self.metrics.counters.incr("net.napi_rx");
             self.vms[vm.0].guest.on_irq(
                 vcpu,
@@ -1685,7 +1841,11 @@ impl System {
         match op {
             GuestOp::Compute { .. } => {
                 let wall = self.machine.run_compute(core, domain, remaining);
-                self.start_compute_segment(core, vm, vcpu, op, remaining, wall, mode);
+                if mode != VmExecMode::CoreGapped
+                    || !self.try_fast_run(core, vm, vcpu, op, remaining, wall)
+                {
+                    self.start_compute_segment(core, vm, vcpu, op, remaining, wall, mode);
+                }
             }
             GuestOp::SecretCompute { secret, .. } => {
                 let wall = self
@@ -2274,6 +2434,7 @@ impl System {
             .expect("guest segment without continuation");
         match cont {
             GuestCont::ComputeDone => {
+                self.settle_fast_run(core, false);
                 self.vms[vm.0].cur_op[vcpu as usize] = None;
                 self.advance_guest(core);
             }

@@ -160,12 +160,20 @@ impl System {
         // Keep sampling while any VM still runs (or before VMs exist, so
         // a sampler attached early still sees the whole run).
         let all_done = !self.vms.is_empty() && self.vms.iter().all(|vm| vm.kvm.all_finished());
-        if !all_done {
-            self.queue.schedule_after(
-                SimDuration::nanos(period_ns),
-                SystemEvent::ObsSample { period_ns },
-            );
+        if let Some(i) = self.obs_pending.iter().position(|&t| t == now) {
+            self.obs_pending.swap_remove(i);
         }
+        if !all_done {
+            self.schedule_obs_sample(period_ns);
+        }
+    }
+
+    /// Schedules the next time-series sample `period_ns` from now.
+    pub(crate) fn schedule_obs_sample(&mut self, period_ns: u64) {
+        let at = self.queue.now() + SimDuration::nanos(period_ns);
+        self.obs_pending.push(at);
+        self.queue
+            .schedule_at(at, SystemEvent::ObsSample { period_ns });
     }
 }
 

@@ -63,10 +63,10 @@ enum StructuredMode {
 }
 
 /// Builder bundling every tracing knob behind one call,
-/// [`System::configure_trace`]. Replaces the former
-/// `enable_trace`/`enable_structured_trace`/`enable_structured_capture`/
-/// `set_structured_dump_sink` quartet; unset options leave the
-/// corresponding sink untouched, so bundles compose.
+/// [`System::configure_trace`]: the text trace, the structured trace (a
+/// ring for panic-dump context, or a full capture for divergence
+/// diagnosis with [`cg_sim::TraceDiff`]) and the panic-dump sink. Unset
+/// options leave the corresponding sink untouched, so bundles compose.
 ///
 /// ```
 /// use cg_core::TraceOptions;
@@ -150,6 +150,27 @@ pub(crate) struct CoreState {
     /// Guest runtime consumed in the current fair timeslice
     /// (shared-core modes).
     pub guest_slice_used: SimDuration,
+    /// The merged compute run in flight, if the segment is one.
+    pub fast: FastRun,
+}
+
+/// A merged run of back-to-back guest compute chunks on a dedicated core:
+/// the fast tier of the execution engine (see `exec.rs`). One segment
+/// and one `SegmentEnd` cover every chunk, the chunk boundaries riding
+/// the event queue as the links of a chain; the warmth and guest-state
+/// effects of the chunks after the first are applied when the run ends
+/// or is interrupted.
+#[derive(Debug, Default)]
+pub(crate) struct FastRun {
+    /// Whether the in-flight segment is a merged run. The segment fields
+    /// of [`CoreState`] then describe its first chunk.
+    pub active: bool,
+    /// Ideal work of every chunk after the first.
+    pub work: SimDuration,
+    /// Those chunks, worked out on the core's warmth at the start.
+    pub ahead: cg_machine::ComputeLookahead,
+    /// When each chunk ends, in order; the last is the run's end.
+    pub ends: Vec<SimTime>,
 }
 
 impl CoreState {
@@ -163,6 +184,7 @@ impl CoreState {
             seg_work: SimDuration::ZERO,
             guest_cont: None,
             guest_slice_used: SimDuration::ZERO,
+            fast: FastRun::default(),
         }
     }
 }
@@ -508,7 +530,7 @@ pub struct System {
     pub(crate) fault: FaultInjector,
     pub(crate) trace: Trace,
     /// Structured trace shared with every instrumented subsystem
-    /// (disabled by default; see [`System::enable_structured_trace`]).
+    /// (disabled by default; see [`System::configure_trace`]).
     pub(crate) strace: TraceHandle,
     /// Simulated-time span profiler shared with every instrumented
     /// subsystem (disabled by default; see [`System::attach_obs`]).
@@ -523,6 +545,13 @@ pub struct System {
     /// Total host-core busy ns at the previous sample (for interval
     /// utilisation).
     pub(crate) ts_prev_busy: u64,
+    /// When each pending [`crate::event::SystemEvent::ObsSample`] fires:
+    /// a sample reads every core's warmth, so merged compute runs end
+    /// before the earliest.
+    pub(crate) obs_pending: Vec<SimTime>,
+    /// The deadline of the running [`System::run_until`], the horizon
+    /// of merged compute runs; `None` (no merging) outside it.
+    pub(crate) fast_horizon: Option<SimTime>,
     /// Redirects the panic-time trace dump into a buffer instead of
     /// stderr (tests of the dump-on-failure path).
     pub(crate) strace_sink: Option<std::rc::Rc<std::cell::RefCell<String>>>,
@@ -591,6 +620,8 @@ impl System {
             timeseries: TimeSeries::disabled(),
             ts_period: SimDuration::ZERO,
             ts_prev_busy: 0,
+            obs_pending: Vec::new(),
+            fast_horizon: None,
             strace_sink: None,
             next_fake_realm: 10_000,
             core_vcpu: vec![None; num_cores as usize],
@@ -674,44 +705,15 @@ impl System {
         }
     }
 
-    /// Enables tracing with the given capacity.
-    #[deprecated(note = "use `configure_trace(TraceOptions::new().text(capacity))`")]
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.configure_trace(TraceOptions::new().text(capacity));
-    }
-
     /// Dumps the retained trace tail.
     pub fn dump_trace(&self) -> String {
         self.trace.dump()
-    }
-
-    /// Enables the structured trace as a bounded ring of `capacity`
-    /// records and propagates the handle to every instrumented
-    /// subsystem. Use for panic-dump context on long runs.
-    #[deprecated(note = "use `configure_trace(TraceOptions::new().structured_ring(capacity))`")]
-    pub fn enable_structured_trace(&mut self, capacity: usize) {
-        self.configure_trace(TraceOptions::new().structured_ring(capacity));
-    }
-
-    /// Enables the structured trace retaining *every* record, for
-    /// divergence diagnosis with [`cg_sim::TraceDiff`].
-    #[deprecated(note = "use `configure_trace(TraceOptions::new().structured_capture())`")]
-    pub fn enable_structured_capture(&mut self) {
-        self.configure_trace(TraceOptions::new().structured_capture());
     }
 
     /// The structured trace handle (cheap clone; disabled unless a
     /// structured mode was configured).
     pub fn structured_trace(&self) -> TraceHandle {
         self.strace.clone()
-    }
-
-    /// Redirects the panic-time trace dump (normally written to stderr
-    /// when a run method unwinds) into `sink`, so tests can assert on the
-    /// dump-on-failure path.
-    #[deprecated(note = "use `configure_trace(TraceOptions::new().dump_sink(sink))`")]
-    pub fn set_structured_dump_sink(&mut self, sink: std::rc::Rc<std::cell::RefCell<String>>) {
-        self.configure_trace(TraceOptions::new().dump_sink(sink));
     }
 
     /// Builds the panic-dump guard active for the duration of a run
@@ -853,12 +855,7 @@ impl System {
         self.ts_period = obs.sample_period;
         self.propagate_profiler();
         if self.timeseries.is_enabled() && !self.ts_period.is_zero() {
-            self.queue.schedule_after(
-                self.ts_period,
-                SystemEvent::ObsSample {
-                    period_ns: self.ts_period.as_nanos(),
-                },
-            );
+            self.schedule_obs_sample(self.ts_period.as_nanos());
         }
     }
 
@@ -898,6 +895,9 @@ impl System {
         self.propagate_strace();
         self.propagate_profiler();
         let _dump = self.dump_guard();
+        // Merged compute runs end by the deadline, so none is in flight
+        // when the caller looks at the system again.
+        self.fast_horizon = Some(deadline);
         while let Some(t) = self.queue.peek_time() {
             if t > deadline {
                 break;
@@ -905,6 +905,7 @@ impl System {
             let (_, ev) = self.pop_event().expect("peeked event vanished");
             self.handle(ev);
         }
+        self.fast_horizon = None;
         if self.queue.now() < deadline && self.queue.peek_time().is_none_or(|t| t > deadline) {
             self.queue.advance_to(deadline);
         }

@@ -252,6 +252,12 @@ impl KvmVm {
         self.vcpus[vcpu as usize].finished
     }
 
+    /// The deadline of `vcpu`'s host-emulated virtual timer, while armed
+    /// (timer delegation off).
+    pub fn emul_vtimer(&self, vcpu: u32) -> Option<SimTime> {
+        self.vcpus[vcpu as usize].emul_vtimer
+    }
+
     /// Returns `true` if every vCPU has shut down.
     pub fn all_finished(&self) -> bool {
         self.vcpus.iter().all(|v| v.finished)

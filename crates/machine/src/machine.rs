@@ -9,7 +9,7 @@ use crate::cpu::{Cpu, World};
 use crate::gic::Gic;
 use crate::ids::{CoreId, Domain, SecretId};
 use crate::memory::GranuleMap;
-use crate::microarch::{MicroArch, TaintLabel};
+use crate::microarch::{ComputeLookahead, MicroArch, TaintLabel};
 use crate::params::{HwParams, ParamError};
 use crate::timer::GenericTimer;
 
@@ -156,6 +156,25 @@ impl Machine {
         self.cpus[core.index()].set_current_domain(Some(domain));
         self.llc_taint.insert(TaintLabel::plain(domain));
         self.microarch[core.index()].run_compute(domain, work, &self.params)
+    }
+
+    /// Restarts `ahead` at `core`'s current state for `domain` (see
+    /// [`ComputeLookahead`]).
+    pub fn start_lookahead(&self, core: CoreId, domain: Domain, ahead: &mut ComputeLookahead) {
+        self.microarch[core.index()].start_lookahead(domain, ahead);
+    }
+
+    /// Runs the first `n` compute chunks `ahead` worked out for `core`,
+    /// exactly as `n` calls of [`Machine::run_compute`] would (see
+    /// [`MicroArch::apply_lookahead`]).
+    pub fn apply_lookahead(&mut self, core: CoreId, ahead: &ComputeLookahead, n: usize) {
+        if n == 0 {
+            return;
+        }
+        let domain = ahead.domain();
+        self.cpus[core.index()].set_current_domain(Some(domain));
+        self.llc_taint.insert(TaintLabel::plain(domain));
+        self.microarch[core.index()].apply_lookahead(ahead, n);
     }
 
     /// Fixed-cost work for `domain` on `core`: charges exactly `wall`

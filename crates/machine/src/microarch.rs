@@ -146,6 +146,97 @@ impl Warmth {
         self.tlb += (1.0 - self.tlb) * factor;
         self.bp += (1.0 - self.bp) * factor;
     }
+
+    /// The slowdown factor (≥ 1.0) this residency gives.
+    fn slowdown(&self, params: &HwParams) -> f64 {
+        1.0 + params.l1_penalty * (1.0 - self.l1)
+            + params.tlb_penalty * (1.0 - self.tlb) * (1.0 + params.gpc_check_factor)
+            + params.bp_penalty * (1.0 - self.bp)
+    }
+}
+
+/// Remembers a value computed from the last step's wall time:
+/// back-to-back chunks of equal wall time (the common case once a
+/// working set is resident) compute their exponentials once.
+#[derive(Debug, Clone, Copy, Default)]
+struct StepMemo<T> {
+    last: Option<(SimDuration, T)>,
+}
+
+impl<T: Copy> StepMemo<T> {
+    fn get(&mut self, wall: SimDuration, compute: impl FnOnce() -> T) -> T {
+        match self.last {
+            Some((w, v)) if w == wall => v,
+            _ => {
+                let v = compute();
+                self.last = Some((wall, v));
+                v
+            }
+        }
+    }
+}
+
+/// The fraction of the gap to full residency a step of `wall` closes.
+fn warm_factor(wall: SimDuration, params: &HwParams) -> f64 {
+    1.0 - (-(wall.as_nanos() as f64) / params.warmup_tau.as_nanos() as f64).exp()
+}
+
+/// The fraction of foreign residency a step of `wall` leaves.
+fn evict_factor(wall: SimDuration, params: &HwParams) -> f64 {
+    (-(wall.as_nanos() as f64) / params.evict_tau.as_nanos() as f64).exp()
+}
+
+/// Back-to-back compute chunks of one domain on one core, worked out
+/// ahead on a copy of the domain's residency: the i-th
+/// [`ComputeLookahead::next_wall`] equals the wall time the i-th
+/// following [`MicroArch::run_compute`] call would return, as long as
+/// nothing else runs on the core in between. The core is not touched
+/// until [`MicroArch::apply_lookahead`] applies a prefix of the chunks.
+///
+/// Each chunk is the per-chunk update of `run_compute`, iterated (never
+/// a closed form); only the exponentials of equal-wall chunks are
+/// shared. Every chunk's warm-up and eviction factors are kept, so
+/// applying computes no exponential.
+#[derive(Debug, Clone)]
+pub struct ComputeLookahead {
+    domain: Domain,
+    /// The domain's residency at the start.
+    start: Warmth,
+    /// The domain's residency after the chunks so far.
+    warmth: Warmth,
+    factors: StepMemo<(f64, f64)>,
+    /// `(warm, evict)` factors of each chunk so far.
+    steps: Vec<(f64, f64)>,
+}
+
+impl Default for ComputeLookahead {
+    fn default() -> ComputeLookahead {
+        ComputeLookahead {
+            domain: Domain::Host,
+            start: Warmth::COLD,
+            warmth: Warmth::COLD,
+            factors: StepMemo::default(),
+            steps: Vec::new(),
+        }
+    }
+}
+
+impl ComputeLookahead {
+    /// The domain whose chunks these are.
+    pub fn domain(&self) -> Domain {
+        self.domain
+    }
+
+    /// The wall time of the next chunk of `work`.
+    pub fn next_wall(&mut self, work: SimDuration, params: &HwParams) -> SimDuration {
+        let wall = work.scaled(self.warmth.slowdown(params));
+        let (warm, evict) = self.factors.get(wall, || {
+            (warm_factor(wall, params), evict_factor(wall, params))
+        });
+        self.warmth.warm(warm);
+        self.steps.push((warm, evict));
+        wall
+    }
 }
 
 /// The microarchitectural state of one core.
@@ -183,10 +274,11 @@ impl MicroArch {
     /// The slowdown factor (≥ 1.0) `domain` currently experiences on this
     /// core, given its structure residency.
     pub fn slowdown(&self, domain: Domain, params: &HwParams) -> f64 {
-        let w = self.warmth.get(&domain).copied().unwrap_or(Warmth::COLD);
-        1.0 + params.l1_penalty * (1.0 - w.l1)
-            + params.tlb_penalty * (1.0 - w.tlb) * (1.0 + params.gpc_check_factor)
-            + params.bp_penalty * (1.0 - w.bp)
+        self.residency(domain).slowdown(params)
+    }
+
+    fn residency(&self, domain: Domain) -> Warmth {
+        self.warmth.get(&domain).copied().unwrap_or(Warmth::COLD)
     }
 
     /// Executes `work` (ideal, fully-warm compute time) for `domain`,
@@ -205,6 +297,44 @@ impl MicroArch {
         self.advance_warmth(domain, wall, params);
         self.touch_all(TaintLabel::plain(domain));
         wall
+    }
+
+    /// Restarts `ahead` at this core's current state for `domain`,
+    /// keeping its buffers.
+    pub fn start_lookahead(&self, domain: Domain, ahead: &mut ComputeLookahead) {
+        ahead.domain = domain;
+        ahead.start = self.residency(domain);
+        ahead.warmth = ahead.start;
+        ahead.factors = StepMemo::default();
+        ahead.steps.clear();
+    }
+
+    /// Applies the first `n` chunks worked out by `ahead`, which must have
+    /// been started on this core with nothing run since. The state it
+    /// leaves is bit-identical to `n` calls of
+    /// [`MicroArch::run_compute`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ahead` has worked out fewer than `n` chunks.
+    pub fn apply_lookahead(&mut self, ahead: &ComputeLookahead, n: usize) {
+        if n == 0 {
+            return;
+        }
+        let steps = &ahead.steps[..n];
+        for (d, other) in self.warmth.iter_mut() {
+            if *d != ahead.domain {
+                for &(_, evict) in steps {
+                    other.decay(evict);
+                }
+            }
+        }
+        let mut w = ahead.start;
+        for &(warm, _) in steps {
+            w.warm(warm);
+        }
+        self.warmth.insert(ahead.domain, w);
+        self.touch_all(TaintLabel::plain(ahead.domain));
     }
 
     /// Executes `wall` of *fixed-cost* work for `domain`: the time is
@@ -233,8 +363,7 @@ impl MicroArch {
     }
 
     fn advance_warmth(&mut self, domain: Domain, wall: SimDuration, params: &HwParams) {
-        let warm_f = 1.0 - (-(wall.as_nanos() as f64) / params.warmup_tau.as_nanos() as f64).exp();
-        let evict_f = (-(wall.as_nanos() as f64) / params.evict_tau.as_nanos() as f64).exp();
+        let (warm_f, evict_f) = (warm_factor(wall, params), evict_factor(wall, params));
         for (d, w) in self.warmth.iter_mut() {
             if *d != domain {
                 w.decay(evict_f);
@@ -448,6 +577,40 @@ mod tests {
         ua.reset();
         assert_eq!(ua.l1_residency(R1), 0.0);
         assert!(ua.footprints(Structure::L1d).is_empty());
+    }
+
+    /// Everything observable about a core's state, bit for bit.
+    fn state_bits(ua: &MicroArch) -> Vec<(Domain, [u64; 3])> {
+        ua.warmth
+            .iter()
+            .map(|(d, w)| (*d, [w.l1.to_bits(), w.tlb.to_bits(), w.bp.to_bits()]))
+            .collect()
+    }
+
+    #[test]
+    fn applied_lookahead_matches_single_chunks() {
+        let p = params();
+        let mut single = MicroArch::new();
+        single.run_compute(HOST, SimDuration::micros(30), &p);
+        single.run_fixed(Domain::Monitor, SimDuration::nanos(700), &p);
+        single.run_compute(R1, SimDuration::nanos(1_500), &p);
+        let mut ahead = ComputeLookahead::default();
+        single.start_lookahead(R1, &mut ahead);
+        let work = SimDuration::micros(100);
+        let walls: Vec<_> = (0..40).map(|_| ahead.next_wall(work, &p)).collect();
+        let mut applied = single.clone();
+        for &wall in &walls[..25] {
+            assert_eq!(single.run_compute(R1, work, &p), wall);
+        }
+        applied.apply_lookahead(&ahead, 25);
+        assert_eq!(state_bits(&applied), state_bits(&single));
+        assert_eq!(
+            applied.footprints(Structure::L1d),
+            single.footprints(Structure::L1d)
+        );
+        // Zero chunks change nothing.
+        applied.apply_lookahead(&ahead, 0);
+        assert_eq!(state_bits(&applied), state_bits(&single));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Property tests for the machine model's invariants.
 
-use cg_machine::{CoreId, Domain, HwParams, Machine, RealmId, SecretId, Structure};
+use cg_machine::{
+    ComputeLookahead, CoreId, Domain, HwParams, Machine, RealmId, SecretId, Structure,
+};
 use cg_sim::SimDuration;
 use proptest::prelude::*;
 
@@ -12,7 +14,63 @@ fn domain(i: u8) -> Domain {
     }
 }
 
+/// The residency and slowdown of every test domain, bit for bit.
+fn warmth_bits(m: &Machine, core: CoreId, params: &HwParams) -> Vec<[u64; 3]> {
+    (0..3)
+        .map(|i| {
+            let ua = m.microarch(core);
+            let d = domain(i);
+            [
+                ua.l1_residency(d).to_bits(),
+                ua.bp_residency(d).to_bits(),
+                ua.slowdown(d, params).to_bits(),
+            ]
+        })
+        .collect()
+}
+
 proptest! {
+    /// Compute chunks compose exactly: after any history of compute and
+    /// fixed-cost work by other domains, a lookahead predicts the walls
+    /// of the next single `run_compute` calls, and applying its first
+    /// `n` chunks leaves warmth and taint bit-identical to those calls.
+    #[test]
+    fn applied_lookahead_is_bit_identical_to_single_chunks(
+        history in prop::collection::vec((0u8..3, 1u64..300_000, 0u8..2), 0..12),
+        who in 0u8..3,
+        work_ns in 1u64..400_000,
+        planned in 0usize..60,
+        applied in 0usize..60,
+    ) {
+        let params = HwParams::small();
+        let core = CoreId(1);
+        let replay = |m: &mut Machine| {
+            for &(d, ns, fixed) in &history {
+                if fixed == 1 {
+                    m.run_fixed(core, domain(d), SimDuration::nanos(ns));
+                } else {
+                    m.run_compute(core, domain(d), SimDuration::nanos(ns));
+                }
+            }
+        };
+        let mut single = Machine::new(params.clone()).unwrap();
+        replay(&mut single);
+        let mut ahead_run = Machine::new(params.clone()).unwrap();
+        replay(&mut ahead_run);
+        let work = SimDuration::nanos(work_ns);
+        let mut ahead = ComputeLookahead::default();
+        ahead_run.start_lookahead(core, domain(who), &mut ahead);
+        let walls: Vec<_> = (0..planned.max(applied)).map(|_| ahead.next_wall(work, &params)).collect();
+        for &wall in &walls[..applied] {
+            prop_assert_eq!(single.run_compute(core, domain(who), work), wall);
+        }
+        ahead_run.apply_lookahead(core, &ahead, applied);
+        prop_assert_eq!(warmth_bits(&ahead_run, core, &params), warmth_bits(&single, core, &params));
+        for s in Structure::ALL {
+            prop_assert_eq!(ahead_run.microarch(core).footprints(s), single.microarch(core).footprints(s));
+        }
+    }
+
     /// Wall time never undercuts ideal work, and slowdown is bounded by
     /// the parameterised maximum.
     #[test]

@@ -1,6 +1,7 @@
 //! The cancellable, deterministically ordered event queue.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
+use std::collections::binary_heap::PeekMut;
 use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
@@ -62,6 +63,29 @@ impl<E> Ord for Entry<E> {
     }
 }
 
+/// The head of a pending chain: its next virtual link's `(time, seq)`
+/// key, and the chain. Reversed, so the max-heap pops the earliest.
+type ChainHead = Reverse<(SimTime, u64, u32)>;
+
+/// An event scheduled behind a chain of virtual links (see
+/// [`EventQueue::schedule_chain`]). It holds its slot from the moment it
+/// is scheduled; the event enters the heap when the last link passes.
+#[derive(Debug)]
+struct Chain<E> {
+    /// The virtual links, in time order; `links[passed]` is the head.
+    links: Vec<SimTime>,
+    passed: usize,
+    /// Cut by [`EventQueue::cut_chain`]: the head link is the event.
+    cut: bool,
+    at: SimTime,
+    event: Option<E>,
+    slot: u32,
+    generation: u32,
+}
+
+/// Marks a slot that no pending chain holds.
+const NO_CHAIN: u32 = u32::MAX;
+
 /// A future-event queue over an arbitrary event type `E`.
 ///
 /// Events fire in `(time, schedule-order)` order. The queue tracks the
@@ -73,6 +97,12 @@ impl<E> Ord for Entry<E> {
 /// Cancelling bumps the slot's generation, leaving the entry in the heap
 /// as a tombstone; a slot is recycled only once its entry has left the
 /// heap, so the slab is as large as the heap's high-water mark.
+///
+/// An event can also be scheduled behind a *chain* of virtual links
+/// ([`EventQueue::schedule_chain`]): the links take part in the ordering
+/// exactly as a run of real events would, each scheduling the next when
+/// it fires, but they are never returned. A queue with no pending chain
+/// pays one emptiness check per pop and peek for the feature.
 ///
 /// # Example
 ///
@@ -100,6 +130,14 @@ pub struct EventQueue<E> {
     tombstones: usize,
     now: SimTime,
     next_seq: u64,
+    /// Pending chains, reused through `chain_free`.
+    chains: Vec<Chain<E>>,
+    chain_free: Vec<u32>,
+    /// Next virtual link of every pending chain (cancelled chains
+    /// included until their head surfaces).
+    chain_heads: BinaryHeap<ChainHead>,
+    /// For each slot: the pending chain holding it, or [`NO_CHAIN`].
+    slot_chain: Vec<u32>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -119,6 +157,10 @@ impl<E> EventQueue<E> {
             tombstones: 0,
             now: SimTime::ZERO,
             next_seq: 0,
+            chains: Vec::new(),
+            chain_free: Vec::new(),
+            chain_heads: BinaryHeap::new(),
+            slot_chain: Vec::new(),
         }
     }
 
@@ -141,12 +183,7 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        let slot = self.free.pop().unwrap_or_else(|| {
-            let slot = u32::try_from(self.generations.len()).expect("event slab overflow");
-            self.generations.push(0);
-            slot
-        });
-        let generation = self.generations[slot as usize];
+        let (slot, generation) = self.take_slot();
         self.heap.push(Entry {
             time: at,
             seq,
@@ -156,6 +193,167 @@ impl<E> EventQueue<E> {
         });
         self.live += 1;
         EventToken::new(slot, generation)
+    }
+
+    /// A free slot and its current generation.
+    fn take_slot(&mut self) -> (u32, u32) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            let slot = u32::try_from(self.generations.len()).expect("event slab overflow");
+            self.generations.push(0);
+            self.slot_chain.push(NO_CHAIN);
+            slot
+        });
+        (slot, self.generations[slot as usize])
+    }
+
+    /// Schedules `event` to fire at `at` behind a chain of virtual links
+    /// at the strictly increasing times `links`, all in `[now, at)`.
+    ///
+    /// The result is ordered exactly as if the first link had been
+    /// scheduled now, with [`EventQueue::schedule_at`], and each link, on
+    /// firing, had scheduled the next one and the last link `event`: a
+    /// link takes its place among same-instant events by the order in
+    /// which it was (virtually) scheduled, and so does `event`. Links are
+    /// never returned; they pass when a pop or peek looks past them.
+    ///
+    /// The token cancels the whole chain, links and event alike, and
+    /// [`EventQueue::chain_links_passed`] reports how far it got.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the links are not strictly increasing within
+    /// `[now, at)`.
+    pub fn schedule_chain(&mut self, links: &[SimTime], at: SimTime, event: E) -> EventToken {
+        let Some(&first) = links.first() else {
+            return self.schedule_at(at, event);
+        };
+        assert!(
+            first >= self.now
+                && links.windows(2).all(|w| w[0] < w[1])
+                && links.last().is_some_and(|&l| l < at),
+            "chain links {links:?} must increase strictly within [{}, {at})",
+            self.now
+        );
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let (slot, generation) = self.take_slot();
+        let chain = match self.chain_free.pop() {
+            Some(c) => {
+                let ch = &mut self.chains[c as usize];
+                ch.links.clear();
+                ch.links.extend_from_slice(links);
+                ch.passed = 0;
+                ch.cut = false;
+                ch.at = at;
+                ch.event = Some(event);
+                ch.slot = slot;
+                ch.generation = generation;
+                c
+            }
+            None => {
+                self.chains.push(Chain {
+                    links: links.to_vec(),
+                    passed: 0,
+                    cut: false,
+                    at,
+                    event: Some(event),
+                    slot,
+                    generation,
+                });
+                u32::try_from(self.chains.len() - 1).expect("chain slab overflow")
+            }
+        };
+        self.slot_chain[slot as usize] = chain;
+        self.chain_heads.push(Reverse((first, seq, chain)));
+        self.live += 1;
+        EventToken::new(slot, generation)
+    }
+
+    /// How many virtual links of the chain behind `token` have passed, or
+    /// `None` if `token` names no pending chain (a plain event, a chain
+    /// whose event already entered the heap, or a cancelled one).
+    pub fn chain_links_passed(&self, token: EventToken) -> Option<usize> {
+        self.pending_chain(token).map(|c| self.chains[c].passed)
+    }
+
+    /// Ends the chain behind `token` at its next link: the event takes
+    /// that link's time and its place among same-instant events, as if
+    /// the link had been the event all along. Returns the links passed
+    /// before it, or `None` (changing nothing) if `token` names no
+    /// pending chain.
+    pub fn cut_chain(&mut self, token: EventToken) -> Option<usize> {
+        let c = self.pending_chain(token)?;
+        let chain = &mut self.chains[c];
+        chain.cut = true;
+        chain.at = chain.links[chain.passed];
+        Some(chain.passed)
+    }
+
+    /// The pending, uncut chain holding `token`'s slot.
+    fn pending_chain(&self, token: EventToken) -> Option<usize> {
+        let slot = token.slot();
+        match self.slot_chain.get(slot) {
+            Some(&c)
+                if c != NO_CHAIN
+                    && self.generations[slot] == token.generation()
+                    && !self.chains[c as usize].cut =>
+            {
+                Some(c as usize)
+            }
+            _ => None,
+        }
+    }
+
+    /// Passes every chain link ordered before the first live heap entry,
+    /// moving a chain's event into the heap when its last link passes,
+    /// and drops cancelled chains whose head surfaces.
+    fn pass_chain_links(&mut self) {
+        // Passing links neither cancels nor pops, so the top stays live.
+        self.skip_tombstones();
+        while let Some(&Reverse((time, seq, chain))) = self.chain_heads.peek() {
+            if let Some(top) = self.heap.peek() {
+                if (top.time, top.seq) < (time, seq) {
+                    return;
+                }
+            }
+            let c = chain as usize;
+            let (slot, generation) = (self.chains[c].slot, self.chains[c].generation);
+            if self.generations[slot as usize] != generation {
+                // Cancelled: release the chain and its slot.
+                self.chain_heads.pop();
+                self.chains[c].event = None;
+                self.chain_free.push(c as u32);
+                self.slot_chain[slot as usize] = NO_CHAIN;
+                self.free.push(slot);
+                continue;
+            }
+            let mut head = self.chain_heads.peek_mut().expect("peeked chain head");
+            let chain = &mut self.chains[c];
+            let seq = if chain.cut {
+                // The head link is the event itself, already in place.
+                seq
+            } else {
+                let next_seq = self.next_seq;
+                self.next_seq += 1;
+                chain.passed += 1;
+                if let Some(&next) = chain.links.get(chain.passed) {
+                    head.0 = (next, next_seq, c as u32);
+                    continue; // dropping `head` restores the heap order
+                }
+                next_seq
+            };
+            PeekMut::pop(head);
+            let event = chain.event.take().expect("pending chain holds its event");
+            self.heap.push(Entry {
+                time: chain.at,
+                seq,
+                slot,
+                generation,
+                event,
+            });
+            self.slot_chain[slot as usize] = NO_CHAIN;
+            self.chain_free.push(c as u32);
+        }
     }
 
     /// Schedules `event` to fire `after` from the current clock.
@@ -178,8 +376,12 @@ impl<E> EventQueue<E> {
             Some(generation) if *generation == token.generation() => {
                 *generation = generation.wrapping_add(1);
                 self.live -= 1;
-                self.tombstones += 1;
-                self.maybe_compact();
+                // A pending chain's event is not in the heap yet: its
+                // chain is dropped when its head surfaces.
+                if self.slot_chain[token.slot()] == NO_CHAIN {
+                    self.tombstones += 1;
+                    self.maybe_compact();
+                }
                 true
             }
             _ => false,
@@ -231,6 +433,9 @@ impl<E> EventQueue<E> {
     /// Removes and returns the next event, advancing the clock to its
     /// timestamp. Returns `None` when no live events remain.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        if !self.chain_heads.is_empty() {
+            self.pass_chain_links();
+        }
         while let Some(entry) = self.heap.pop() {
             self.free.push(entry.slot);
             if self.is_tombstone(&entry) {
@@ -250,16 +455,23 @@ impl<E> EventQueue<E> {
 
     /// Returns the timestamp of the next live event without firing it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(entry) = self.heap.peek() {
-            if self.is_tombstone(entry) {
-                let slot = self.heap.pop().expect("peeked entry vanished").slot;
-                self.free.push(slot);
-                self.tombstones -= 1;
-                continue;
-            }
-            return Some(entry.time);
+        if !self.chain_heads.is_empty() {
+            self.pass_chain_links();
         }
-        None
+        self.skip_tombstones();
+        self.heap.peek().map(|entry| entry.time)
+    }
+
+    /// Drops cancelled entries from the top of the heap.
+    fn skip_tombstones(&mut self) {
+        while let Some(entry) = self.heap.peek() {
+            if !self.is_tombstone(entry) {
+                return;
+            }
+            let slot = self.heap.pop().expect("peeked entry vanished").slot;
+            self.free.push(slot);
+            self.tombstones -= 1;
+        }
     }
 
     /// Returns the number of live (non-cancelled) pending events.
@@ -507,6 +719,153 @@ mod tests {
                 q.len()
             );
         }
+    }
+
+    fn t(ns: u64) -> SimTime {
+        SimTime::from_nanos(ns)
+    }
+
+    #[test]
+    fn plain_schedule_order_is_unchanged_by_a_pending_chain() {
+        // With and without a chain in flight, plain events pop in (time,
+        // schedule order), same-instant ties included.
+        let plain = |q: &mut EventQueue<&'static str>| {
+            q.schedule_at(t(20), "b1");
+            q.schedule_at(t(10), "a");
+            q.schedule_at(t(20), "b2");
+            q.schedule_at(t(5), "first");
+            q.schedule_at(t(20), "b3");
+        };
+        let mut q = EventQueue::new();
+        plain(&mut q);
+        let alone: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(alone, ["first", "a", "b1", "b2", "b3"]);
+
+        let mut q = EventQueue::new();
+        plain(&mut q);
+        q.schedule_chain(&[t(7), t(20)], t(40), "chained");
+        let with_chain: Vec<_> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(with_chain, ["first", "a", "b1", "b2", "b3", "chained"]);
+    }
+
+    #[test]
+    fn chain_event_is_ordered_as_if_scheduled_by_its_last_link() {
+        // Links at 10 and 20, event at 30. `c` (at 20) was scheduled
+        // before link 2 was virtually scheduled (at link 1's firing), so
+        // it fires first, and what its handler schedules for 30 precedes
+        // the chained event, which link 2 schedules when it fires after
+        // `c`.
+        let mut q = EventQueue::new();
+        let tok = q.schedule_chain(&[t(10), t(20)], t(30), "chained");
+        q.schedule_at(t(20), "c");
+        assert_eq!(q.chain_links_passed(tok), Some(0));
+        assert_eq!(q.pop(), Some((t(20), "c")));
+        assert_eq!(q.chain_links_passed(tok), Some(1));
+        q.schedule_at(t(30), "from-c");
+        assert_eq!(q.pop(), Some((t(30), "from-c")));
+        assert_eq!(q.chain_links_passed(tok), None, "event is in the heap");
+        assert_eq!(q.pop(), Some((t(30), "chained")));
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn events_scheduled_after_a_link_fires_follow_its_successor() {
+        // `p` (at 10) was scheduled after link 1, so link 1 fires first
+        // and schedules link 2 before `p`'s handler schedules `y` (at 20)
+        // and `z` (at 30): link 2 fires before `y`, and the chained event
+        // it schedules follows `z`, which was scheduled earlier.
+        let mut q = EventQueue::new();
+        let tok = q.schedule_chain(&[t(10), t(20)], t(30), "chained");
+        q.schedule_at(t(10), "p");
+        assert_eq!(q.pop(), Some((t(10), "p")));
+        assert_eq!(q.chain_links_passed(tok), Some(1));
+        q.schedule_at(t(20), "y");
+        q.schedule_at(t(30), "z");
+        assert_eq!(q.pop(), Some((t(20), "y")));
+        assert_eq!(q.chain_links_passed(tok), None);
+        assert_eq!(q.pop(), Some((t(30), "z")));
+        assert_eq!(q.pop(), Some((t(30), "chained")));
+    }
+
+    #[test]
+    fn cancelling_a_chain_drops_its_links_and_event() {
+        let mut q = EventQueue::new();
+        let tok = q.schedule_chain(&[t(10), t(20), t(30)], t(40), "chained");
+        q.schedule_at(t(15), "mid");
+        q.schedule_at(t(50), "late");
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop(), Some((t(15), "mid")));
+        assert_eq!(q.chain_links_passed(tok), Some(1));
+        assert!(q.cancel(tok));
+        assert!(!q.cancel(tok));
+        assert_eq!(q.chain_links_passed(tok), None);
+        assert_eq!(q.len(), 1);
+        assert_eq!(q.peek_time(), Some(t(50)));
+        // The chain's slot is free again and a stale token cannot touch
+        // its successor.
+        let next = q.schedule_at(t(60), "next");
+        assert!(!q.cancel(tok));
+        assert_eq!(q.pop(), Some((t(50), "late")));
+        assert!(q.cancel(next));
+        assert!(q.pop().is_none());
+        assert_eq!(q.heap_len(), 0);
+    }
+
+    #[test]
+    fn cancelling_a_chain_after_its_event_entered_the_heap() {
+        let mut q = EventQueue::new();
+        let tok = q.schedule_chain(&[t(10)], t(30), "chained");
+        q.schedule_at(t(20), "x");
+        assert_eq!(q.pop(), Some((t(20), "x")));
+        assert_eq!(q.chain_links_passed(tok), None);
+        assert!(q.cancel(tok));
+        assert!(q.is_empty());
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn a_cut_chain_fires_at_its_next_link_in_that_links_place() {
+        // Links at 10 and 20, event at 30; `b` (at 20) is scheduled after
+        // the chain, so before link 2 is; cutting after link 1 makes the
+        // event take link 2's time and place: after `b`, before `c`,
+        // which is scheduled after link 1 fired.
+        let mut q = EventQueue::new();
+        let tok = q.schedule_chain(&[t(10), t(20)], t(30), "chained");
+        q.schedule_at(t(20), "b");
+        q.schedule_at(t(15), "a");
+        assert_eq!(q.pop(), Some((t(15), "a")));
+        q.schedule_at(t(20), "c");
+        assert_eq!(q.cut_chain(tok), Some(1));
+        assert_eq!(q.cut_chain(tok), None);
+        assert_eq!(q.chain_links_passed(tok), None);
+        assert_eq!(q.len(), 3);
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(order, [(t(20), "b"), (t(20), "chained"), (t(20), "c")]);
+        assert!(!q.cancel(tok));
+    }
+
+    #[test]
+    fn a_cut_chain_can_still_be_cancelled() {
+        let mut q = EventQueue::new();
+        let tok = q.schedule_chain(&[t(10), t(20)], t(30), "chained");
+        assert_eq!(q.cut_chain(tok), Some(0));
+        assert!(q.cancel(tok));
+        assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn a_chain_without_links_is_a_plain_schedule() {
+        let mut q = EventQueue::new();
+        let tok = q.schedule_chain(&[], t(5), "e");
+        assert_eq!(q.chain_links_passed(tok), None);
+        assert_eq!(q.pop(), Some((t(5), "e")));
+    }
+
+    #[test]
+    #[should_panic(expected = "must increase strictly")]
+    fn chain_links_must_precede_the_event() {
+        let mut q = EventQueue::new();
+        q.schedule_chain(&[t(10), t(30)], t(30), ());
     }
 
     #[test]

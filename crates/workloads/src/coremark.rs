@@ -67,6 +67,15 @@ impl AppLogic for CoremarkPro {
 
     fn on_irq(&mut self, _vcpu: u32, _irq: GuestIrq, _now: SimTime) {}
 
+    /// Every op is a unit of compute, forever, and vCPUs share nothing.
+    fn peek_compute(&self, _vcpu: u32, _now: SimTime) -> Option<(SimDuration, SimTime)> {
+        Some((self.unit, SimTime::MAX))
+    }
+
+    fn commit_compute(&mut self, vcpu: u32, n: u64) {
+        self.iterations[vcpu as usize] += n;
+    }
+
     fn stats(&self) -> WorkloadStats {
         let mut stats = WorkloadStats::new();
         for (i, &iters) in self.iterations.iter().enumerate() {
@@ -91,6 +100,8 @@ impl CoremarkPro {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::guest::GuestProgram;
+    use crate::kernel::GuestKernel;
 
     #[test]
     fn yields_compute_units_and_counts() {
@@ -114,6 +125,42 @@ mod tests {
         }
         // 5 calls = 4 completed + 1 in flight.
         assert_eq!(cm.stats().counters.get("coremark.total_iterations"), 4);
+    }
+
+    #[test]
+    fn commit_equals_repeated_next_op_under_the_kernel() {
+        let kernel = |console| {
+            let cm = CoremarkPro::new(2, SimDuration::micros(100));
+            GuestKernel::new(2, 250, Box::new(cm)).with_console_writes(console)
+        };
+        let console = SimDuration::millis(2);
+        let t0 = SimTime::from_nanos(1_000);
+        let (mut stepped, mut committed) = (kernel(console), kernel(console));
+        for g in [&mut stepped, &mut committed] {
+            for vcpu in 0..2 {
+                g.next_op(vcpu, t0); // arm the tick
+                g.next_op(vcpu, t0); // start the console schedule
+            }
+        }
+        let (work, until) = committed.peek_compute(1, t0).expect("plain compute");
+        assert_eq!(work, SimDuration::micros(100));
+        // vCPU 1's first console write is due at t0 + 2 ms + 1 ns.
+        assert_eq!(until, t0 + SimDuration::millis(2) + SimDuration::nanos(1));
+        let mut t = t0;
+        let mut n = 0;
+        while t < until {
+            assert_eq!(stepped.next_op(1, t), GuestOp::Compute { work });
+            t += work;
+            n += 1;
+        }
+        committed.commit_compute(1, n);
+        assert_eq!(
+            committed.stats().counters.get("coremark.vcpu1.iterations"),
+            stepped.stats().counters.get("coremark.vcpu1.iterations")
+        );
+        // The op after the promise runs out is the console write.
+        assert_eq!(committed.peek_compute(1, until), None);
+        assert_eq!(committed.next_op(1, until), GuestOp::ConsoleWrite);
     }
 
     #[test]

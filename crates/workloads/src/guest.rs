@@ -188,6 +188,29 @@ pub trait GuestProgram: fmt::Debug {
 
     /// Final workload statistics.
     fn stats(&self) -> WorkloadStats;
+
+    /// Side-effect-free lookahead for the execution engine's fast tier.
+    ///
+    /// `Some((work, until))` promises that, until `on_irq` is next
+    /// called for `vcpu`, every `next_op(vcpu, t)` call with
+    /// `now <= t < until` returns `GuestOp::Compute { work }` and changes
+    /// no state beyond what [`GuestProgram::commit_compute`] reproduces —
+    /// whatever the other vCPUs do meanwhile. The default makes no
+    /// promise.
+    fn peek_compute(&self, _vcpu: u32, _now: SimTime) -> Option<(SimDuration, SimTime)> {
+        None
+    }
+
+    /// Applies the effect of `n` `next_op` calls covered by a
+    /// [`GuestProgram::peek_compute`] promise, in one step.
+    ///
+    /// # Panics
+    ///
+    /// The default panics for `n > 0`: a program that promises nothing
+    /// is never asked to commit.
+    fn commit_compute(&mut self, _vcpu: u32, n: u64) {
+        assert_eq!(n, 0, "commit_compute without a peek_compute promise");
+    }
 }
 
 #[cfg(test)]

@@ -26,6 +26,19 @@ pub trait AppLogic: fmt::Debug {
 
     /// Final statistics.
     fn stats(&self) -> WorkloadStats;
+
+    /// Side-effect-free lookahead, with the contract of
+    /// [`GuestProgram::peek_compute`]. The default makes no promise.
+    fn peek_compute(&self, _vcpu: u32, _now: SimTime) -> Option<(SimDuration, SimTime)> {
+        None
+    }
+
+    /// Applies `n` `next_op` calls covered by a
+    /// [`AppLogic::peek_compute`] promise (see
+    /// [`GuestProgram::commit_compute`]).
+    fn commit_compute(&mut self, _vcpu: u32, n: u64) {
+        assert_eq!(n, 0, "commit_compute without a peek_compute promise");
+    }
 }
 
 #[derive(Debug)]
@@ -182,6 +195,31 @@ impl GuestProgram for GuestKernel {
         stats.counters.add("kernel.ticks", self.ticks_handled);
         stats
     }
+
+    /// Application compute is all `next_op` yields while the kernel queue
+    /// is empty, the tick is armed and no console write is due, so the
+    /// promise is the application's, cut at the next console write.
+    fn peek_compute(&self, vcpu: u32, now: SimTime) -> Option<(SimDuration, SimTime)> {
+        let v = &self.vcpus[vcpu as usize];
+        if !v.queue.is_empty() || !v.tick_armed {
+            return None;
+        }
+        let mut until = SimTime::MAX;
+        if self.console_period.is_some() {
+            let nc = self.next_console[vcpu as usize];
+            // An unstarted schedule is initialised by the next call.
+            if nc == SimTime::ZERO || nc <= now {
+                return None;
+            }
+            until = nc;
+        }
+        let (work, app_until) = self.app.peek_compute(vcpu, now)?;
+        Some((work, until.min(app_until)))
+    }
+
+    fn commit_compute(&mut self, vcpu: u32, n: u64) {
+        self.app.commit_compute(vcpu, n);
+    }
 }
 
 #[cfg(test)]
@@ -284,6 +322,22 @@ mod tests {
             GuestOp::Compute { work } if work == SimDuration::micros(50)
         ));
         assert_eq!(g.ticks_handled(), 1);
+    }
+
+    #[test]
+    fn peek_promises_only_plain_application_compute() {
+        let mut g = guest(1).with_console_writes(SimDuration::millis(10));
+        // Tick not armed yet.
+        assert_eq!(g.peek_compute(0, SimTime::ZERO), None);
+        // Arm the tick; the console schedule has not started yet.
+        g.next_op(0, SimTime::ZERO);
+        assert_eq!(g.peek_compute(0, SimTime::ZERO), None);
+        g.next_op(0, SimTime::ZERO);
+        // Spin promises nothing, so the kernel promises nothing.
+        assert_eq!(g.peek_compute(0, SimTime::ZERO), None);
+        // Kernel-queued work comes first.
+        g.on_irq(0, GuestIrq::Ipi { sgi: 1 }, SimTime::ZERO);
+        assert_eq!(g.peek_compute(0, SimTime::ZERO), None);
     }
 
     #[test]

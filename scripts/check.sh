@@ -135,6 +135,9 @@ PY
     fi
   done
 
+  echo "== tier agreement, long case (merged vs per-op execution on a 63-vCPU node) =="
+  cargo test --release --test exec_tiers -- --ignored
+
   echo "== cargo doc (deny warnings; vendored stand-ins excluded) =="
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet \
     --exclude rand --exclude proptest --exclude criterion --exclude serde

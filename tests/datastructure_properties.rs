@@ -1,7 +1,7 @@
 //! Property tests on core data-structure invariants: the event queue,
 //! realm translation tables, the core planner, and the vCPU bindings.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 use cg_cca::{RecId, RttLevel};
 use cg_host::CorePlanner;
@@ -10,44 +10,204 @@ use cg_rmm::{CoreGap, Rtt};
 use cg_sim::{EventQueue, SimDuration, SimTime};
 use proptest::prelude::*;
 
+/// Per-op reference for [`EventQueue`]: a `BTreeMap` keyed by `(time,
+/// seq)`, in which a chain's links are ordinary entries that, when the
+/// queue looks past them, schedule their successor (the next link or the
+/// chained event) with the next sequence number.
+#[derive(Default)]
+struct QueueModel {
+    entries: BTreeMap<(SimTime, u64), ModelItem>,
+    next_seq: u64,
+    chains: Vec<ModelChain>,
+}
+
+#[derive(Clone, Copy)]
+enum ModelItem {
+    Event(usize),
+    Link(usize),
+}
+
+struct ModelChain {
+    links: Vec<SimTime>,
+    at: SimTime,
+    event: usize,
+    passed: usize,
+    /// The chain's current entry (a link or its event), while pending.
+    key: Option<(SimTime, u64)>,
+}
+
+impl QueueModel {
+    fn key(&mut self, at: SimTime) -> (SimTime, u64) {
+        self.next_seq += 1;
+        (at, self.next_seq - 1)
+    }
+
+    fn schedule(&mut self, at: SimTime, event: usize) -> (SimTime, u64) {
+        let key = self.key(at);
+        self.entries.insert(key, ModelItem::Event(event));
+        key
+    }
+
+    fn schedule_chain(&mut self, links: Vec<SimTime>, at: SimTime, event: usize) -> usize {
+        let key = self.key(links[0]);
+        let c = self.chains.len();
+        self.entries.insert(key, ModelItem::Link(c));
+        self.chains.push(ModelChain {
+            links,
+            at,
+            event,
+            passed: 0,
+            key: Some(key),
+        });
+        c
+    }
+
+    /// Fires links until the first entry is an event.
+    fn first_event(&mut self) -> Option<(SimTime, u64)> {
+        loop {
+            let (&key, &item) = self.entries.first_key_value()?;
+            let ModelItem::Link(c) = item else {
+                return Some(key);
+            };
+            self.entries.remove(&key);
+            let ch = &mut self.chains[c];
+            ch.passed += 1;
+            let (at, item) = match ch.links.get(ch.passed) {
+                Some(&next) => (next, ModelItem::Link(c)),
+                None => (ch.at, ModelItem::Event(ch.event)),
+            };
+            let key = self.key(at);
+            self.entries.insert(key, item);
+            self.chains[c].key = Some(key);
+        }
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, usize)> {
+        let key = self.first_event()?;
+        match self.entries.remove(&key) {
+            Some(ModelItem::Event(e)) => Some((key.0, e)),
+            _ => unreachable!("first_event returns an event"),
+        }
+    }
+
+    fn cancel_chain(&mut self, c: usize) -> bool {
+        match self.chains[c].key.take() {
+            Some(key) => self.entries.remove(&key).is_some(),
+            None => false,
+        }
+    }
+
+    /// Turns the chain's pending link into its event, in place.
+    fn cut_chain(&mut self, c: usize) -> Option<usize> {
+        let key = self.chains[c].key?;
+        let event = self.chains[c].event;
+        match self.entries.get_mut(&key) {
+            Some(item @ ModelItem::Link(_)) => {
+                *item = ModelItem::Event(event);
+                Some(self.chains[c].passed)
+            }
+            _ => None,
+        }
+    }
+
+    fn links_passed(&self, c: usize) -> Option<usize> {
+        let key = self.chains[c].key?;
+        match self.entries.get(&key) {
+            Some(ModelItem::Link(_)) => Some(self.chains[c].passed),
+            _ => None,
+        }
+    }
+}
+
+#[derive(Clone, Copy)]
+enum ModelToken {
+    Plain((SimTime, u64)),
+    Chain(usize),
+}
+
 proptest! {
     /// Events always pop in `(time, schedule order)` order regardless of
     /// the schedule/cancel/pop interleaving, checked op by op against a
-    /// `BTreeSet<(time, seq)>` model: pops, peeks, `len()` and
-    /// `cancel`'s result (including cancel-after-fire, double cancel and
-    /// tokens whose slot a later event reuses) all agree, and tombstones
-    /// never hold the heap above twice the live set plus the compaction
-    /// floor.
+    /// `(time, seq)` model: pops, peeks, `len()` and `cancel`'s result
+    /// (including cancel-after-fire, double cancel and tokens whose slot
+    /// a later event reuses) all agree, and tombstones never hold the
+    /// heap above twice the live set plus the compaction floor.
+    ///
+    /// Chained (as-if) schedules are checked against the per-op
+    /// expansion: in the model every virtual link is a real entry that
+    /// schedules its successor when it fires, so a chained event is
+    /// ordered exactly as one scheduled at its last link's instant, and
+    /// same-instant ties against every link resolve by the order in which
+    /// the link would have been scheduled. `chain_links_passed` must
+    /// match the model's progress through the chain, and `cut_chain`
+    /// must turn the pending link into the event in place.
     #[test]
     fn event_queue_total_order(
-        ops in prop::collection::vec((0u8..8, 0u64..64, 0usize..1024), 1..400)
+        ops in prop::collection::vec((0u8..11, 0u64..64, 0usize..1024), 1..400)
     ) {
         let mut q = EventQueue::new();
-        let mut model: BTreeSet<(SimTime, usize)> = BTreeSet::new();
-        // Every token ever issued, indexed by schedule order (= seq).
-        let mut tokens = Vec::new();
+        let mut model = QueueModel::default();
+        // Every token ever issued, indexed by event id (its payload).
+        let mut tokens: Vec<(cg_sim::EventToken, ModelToken)> = Vec::new();
         for &(op, dt, pick) in &ops {
             match op {
                 // Schedule (the most common op, so the heap grows past the
                 // compaction floor).
                 0..=3 => {
                     let at = q.now() + SimDuration::nanos(dt);
-                    let seq = tokens.len();
-                    tokens.push((q.schedule_at(at, seq), at));
-                    model.insert((at, seq));
+                    let id = tokens.len();
+                    let key = model.schedule(at, id);
+                    tokens.push((q.schedule_at(at, id), ModelToken::Plain(key)));
+                }
+                // Schedule behind one to three links on a coarse grid, so
+                // links tie with plain events and with other chains.
+                8 => {
+                    let step = 1 + (pick % 4) as u64 * 4;
+                    let n = 1 + (pick / 4) % 3;
+                    let first = q.now() + SimDuration::nanos(dt / 4 * 4);
+                    let links: Vec<SimTime> = (0..n as u64)
+                        .map(|i| first + SimDuration::nanos(i * step))
+                        .collect();
+                    let at = *links.last().unwrap() + SimDuration::nanos(step);
+                    let id = tokens.len();
+                    let tok = q.schedule_chain(&links, at, id);
+                    let c = model.schedule_chain(links, at, id);
+                    tokens.push((tok, ModelToken::Chain(c)));
                 }
                 // Cancel any token: live, fired or already cancelled.
                 4 | 5 if !tokens.is_empty() => {
-                    let seq = pick % tokens.len();
-                    let (tok, at) = tokens[seq];
-                    let was_live = model.remove(&(at, seq));
-                    prop_assert_eq!(q.cancel(tok), was_live, "cancel of seq {}", seq);
+                    let id = pick % tokens.len();
+                    let (tok, mt) = tokens[id];
+                    let was_live = match mt {
+                        ModelToken::Plain(key) => model.entries.remove(&key).is_some(),
+                        ModelToken::Chain(c) => model.cancel_chain(c),
+                    };
+                    prop_assert_eq!(q.cancel(tok), was_live, "cancel of event {}", id);
                 }
-                6 => prop_assert_eq!(q.pop(), model.pop_first()),
-                _ => prop_assert_eq!(q.peek_time(), model.first().map(|&(t, _)| t)),
+                9 if !tokens.is_empty() => {
+                    let id = pick % tokens.len();
+                    let (tok, mt) = tokens[id];
+                    let expect = match mt {
+                        ModelToken::Plain(_) => None,
+                        ModelToken::Chain(c) => model.links_passed(c),
+                    };
+                    prop_assert_eq!(q.chain_links_passed(tok), expect, "event {}", id);
+                }
+                // Cut a chain at its next link (or try to: any token).
+                10 if !tokens.is_empty() => {
+                    let id = pick % tokens.len();
+                    let (tok, mt) = tokens[id];
+                    let expect = match mt {
+                        ModelToken::Plain(_) => None,
+                        ModelToken::Chain(c) => model.cut_chain(c),
+                    };
+                    prop_assert_eq!(q.cut_chain(tok), expect, "cut of event {}", id);
+                }
+                6 => prop_assert_eq!(q.pop(), model.pop()),
+                _ => prop_assert_eq!(q.peek_time(), model.first_event().map(|(t, _)| t)),
             }
-            prop_assert_eq!(q.len(), model.len());
-            prop_assert_eq!(q.is_empty(), model.is_empty());
+            prop_assert_eq!(q.len(), model.entries.len());
+            prop_assert_eq!(q.is_empty(), model.entries.is_empty());
             prop_assert!(
                 q.heap_len() <= 2 * q.len() + 64,
                 "heap {} entries for {} live", q.heap_len(), q.len()
@@ -59,7 +219,7 @@ proptest! {
             rest.push(popped);
             prop_assert!(q.heap_len() <= 2 * q.len() + 64);
         }
-        let expect: Vec<_> = model.into_iter().collect();
+        let expect: Vec<_> = std::iter::from_fn(|| model.pop()).collect();
         prop_assert_eq!(rest, expect);
         // No token cancels anything once the queue is drained.
         for &(tok, _) in &tokens {

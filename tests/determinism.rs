@@ -68,7 +68,9 @@ fn structured_traces_are_bit_identical_across_same_seed_runs() {
                 .unwrap();
         }
         system.configure_trace(TraceOptions::new().structured_capture());
-        system.run_for(SimDuration::millis(50));
+        // Long enough for a real stream even with back-to-back compute
+        // chunks merged into one segment each.
+        system.run_for(SimDuration::millis(100));
         system.structured_records()
     };
     let a = run();
