@@ -9,10 +9,8 @@
 
 use std::fmt;
 
-use serde::Serialize;
-
 /// Which CPU vendors were affected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)]
 pub enum Vendor {
     Intel,
@@ -23,7 +21,7 @@ pub enum Vendor {
 }
 
 /// The kind of flaw.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VulnerabilityClass {
     /// Speculative/transient-execution leak.
     TransientExecution,
@@ -32,7 +30,7 @@ pub enum VulnerabilityClass {
 }
 
 /// The sharing scope an attacker needs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scope {
     /// Attacker and victim must time-share one core (context switches).
     SameCoreTimeShared,
@@ -54,7 +52,7 @@ impl fmt::Display for Scope {
 }
 
 /// One catalogue entry.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Vulnerability {
     /// Common name.
     pub name: &'static str,

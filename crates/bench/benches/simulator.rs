@@ -9,7 +9,7 @@ use cg_core::experiments::apps::run_redis;
 use cg_core::experiments::io::{run_iozone, run_netpipe, NetpipeConfig};
 use cg_core::experiments::latency::{run_vipi, IpiConfig};
 use cg_core::experiments::scaling::{run_coremark, ScalingConfig};
-use cg_core::{System, SystemConfig, VmSpec};
+use cg_core::{Obs, System, SystemConfig, VmSpec};
 use cg_sim::SimDuration;
 use cg_workloads::coremark::CoremarkPro;
 use cg_workloads::kernel::GuestKernel;
@@ -25,6 +25,7 @@ fn bench_coremark_simulation(c: &mut Criterion) {
                 4,
                 SimDuration::millis(100),
                 42,
+                &Obs::disabled(),
             ))
         })
     });
@@ -35,11 +36,19 @@ fn bench_coremark_simulation(c: &mut Criterion) {
                 4,
                 SimDuration::millis(100),
                 42,
+                &Obs::disabled(),
             ))
         })
     });
     group.bench_function("vipi_delegated_50pings", |b| {
-        b.iter(|| black_box(run_vipi(IpiConfig::CoreGappedDelegated, 50, 42)))
+        b.iter(|| {
+            black_box(run_vipi(
+                IpiConfig::CoreGappedDelegated,
+                50,
+                42,
+                &Obs::disabled(),
+            ))
+        })
     });
     group.bench_function("netpipe_sriov_gapped_5reps", |b| {
         b.iter(|| {
@@ -52,14 +61,23 @@ fn bench_coremark_simulation(c: &mut Criterion) {
                 &[1500, 65536],
                 5,
                 42,
+                &Obs::disabled(),
             ))
         })
     });
     group.bench_function("iozone_gapped_3reps", |b| {
-        b.iter(|| black_box(run_iozone(true, &[4096, 1 << 20], 3, 42)))
+        b.iter(|| black_box(run_iozone(true, &[4096, 1 << 20], 3, 42, &Obs::disabled())))
     });
     group.bench_function("redis_gapped_2k_requests", |b| {
-        b.iter(|| black_box(run_redis(RedisCommand::Get, true, 2_000, 42)))
+        b.iter(|| {
+            black_box(run_redis(
+                RedisCommand::Get,
+                true,
+                2_000,
+                42,
+                &Obs::disabled(),
+            ))
+        })
     });
     group.finish();
 }

@@ -12,7 +12,7 @@
 //! node pays for it.
 
 use cg_bench::{header, Report};
-use cg_core::experiments::churn::{run_churn_obs, ChurnConfig};
+use cg_core::experiments::churn::{run_churn, ChurnConfig};
 use cg_sim::{Json, SimDuration};
 
 fn main() {
@@ -45,7 +45,7 @@ fn main() {
         } else {
             base.clone().without_defrag()
         };
-        let r = run_churn_obs(&cfg, report.obs());
+        let r = run_churn(&cfg, report.obs());
         p99[i] = r.admit_p99_us;
         println!(
             "{:>10} {:>9} {:>9} {:>9.1}us {:>9.1}us {:>9.3} {:>9} {:>9.2} {:>10}",

@@ -7,7 +7,7 @@
 //! a shared-core CVM whose every exit crosses the trust boundary twice.
 
 use cg_bench::{header, Report};
-use cg_core::experiments::scaling::{run_coremark_obs, ScalingConfig};
+use cg_core::experiments::scaling::{run_coremark, ScalingConfig};
 use cg_sim::SimDuration;
 
 fn main() {
@@ -28,15 +28,15 @@ fn main() {
         "cores"
     );
     for &n in cores {
-        let (plain, _) = run_coremark_obs(ScalingConfig::SharedCore, n, dur, 42, report.obs());
-        let (scc, _) = run_coremark_obs(
+        let (plain, _) = run_coremark(ScalingConfig::SharedCore, n, dur, 42, report.obs());
+        let (scc, _) = run_coremark(
             ScalingConfig::SharedCoreConfidential,
             n,
             dur,
             42,
             report.obs(),
         );
-        let (gapped, _) = run_coremark_obs(ScalingConfig::CoreGapped, n, dur, 42, report.obs());
+        let (gapped, _) = run_coremark(ScalingConfig::CoreGapped, n, dur, 42, report.obs());
         println!(
             "{n:>6}\t{:.0}\t{:.0}\t{:.0}\t{:.3}",
             plain.score,

@@ -13,7 +13,7 @@
 
 use cg_bench::{header, Report};
 use cg_core::config::RecoveryConfig;
-use cg_core::experiments::faults::run_fault_sweep_obs;
+use cg_core::experiments::faults::run_fault_sweep;
 use cg_sim::{FaultPlan, Json, SimDuration};
 
 fn main() {
@@ -38,7 +38,7 @@ fn main() {
     );
     let mut baseline = 0.0;
     for &p in losses {
-        let r = run_fault_sweep_obs(
+        let r = run_fault_sweep(
             FaultPlan::doorbell_loss(p),
             RecoveryConfig::paper_default(),
             dur,
@@ -93,7 +93,7 @@ fn main() {
     println!();
     header("Ablation: the same loss with recovery disabled");
     let worst = *losses.last().expect("non-empty sweep");
-    let r = run_fault_sweep_obs(
+    let r = run_fault_sweep(
         FaultPlan::doorbell_loss(worst),
         RecoveryConfig::disabled(),
         dur,

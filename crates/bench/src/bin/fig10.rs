@@ -1,7 +1,7 @@
 //! Fig. 10: parallel kernel build time vs core count (virtio disk).
 
 use cg_bench::{header, Report};
-use cg_core::experiments::apps::run_kbuild_obs;
+use cg_core::experiments::apps::run_kbuild;
 
 fn main() {
     let mut report = Report::from_args("fig10");
@@ -14,8 +14,8 @@ fn main() {
     header("Fig. 10: kernel build time (s) vs core count");
     println!("{:>6}\tshared-core\tcore-gapped\tratio", "cores");
     for &n in cores {
-        let shared = run_kbuild_obs(false, n, jobs, 42, report.obs());
-        let gapped = run_kbuild_obs(true, n, jobs, 42, report.obs());
+        let shared = run_kbuild(false, n, jobs, 42, report.obs());
+        let gapped = run_kbuild(true, n, jobs, 42, report.obs());
         println!("{n:>6}\t{shared:.2}\t{gapped:.2}\t{:.3}", gapped / shared);
         report.record(&format!("shared-core {n} cores build time"), shared, "s");
         report.record(&format!("core-gapped {n} cores build time"), gapped, "s");

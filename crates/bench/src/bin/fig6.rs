@@ -6,7 +6,7 @@
 //! scalability collapse.
 
 use cg_bench::{header, Report};
-use cg_core::experiments::scaling::{run_coremark_obs, ScalingConfig};
+use cg_core::experiments::scaling::{run_coremark, ScalingConfig};
 use cg_sim::SimDuration;
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
     for &n in cores {
         print!("{n:>6}");
         for c in ScalingConfig::ALL {
-            let (r, _) = run_coremark_obs(c, n, dur, 42, report.obs());
+            let (r, _) = run_coremark(c, n, dur, 42, report.obs());
             if c == ScalingConfig::CoreGapped {
                 run_to_run.push((n, r.run_to_run_us_mean, r.host_utilization));
             }

@@ -2,7 +2,7 @@
 //! 4-core VMs. All core-gapped VMMs share a single host core.
 
 use cg_bench::{header, Report};
-use cg_core::experiments::scaling::{run_multivm_obs, ScalingConfig};
+use cg_core::experiments::scaling::{run_multivm, ScalingConfig};
 use cg_sim::SimDuration;
 
 fn main() {
@@ -20,8 +20,8 @@ fn main() {
     header("Fig. 7: aggregate score of K 4-vCPU VMs (1 host core for all core-gapped VMMs)");
     println!("{:>5}\tshared-core\tcore-gapped", "VMs");
     for &k in counts {
-        let shared = run_multivm_obs(ScalingConfig::SharedCore, k, dur, 42, report.obs());
-        let gapped = run_multivm_obs(ScalingConfig::CoreGapped, k, dur, 42, report.obs());
+        let shared = run_multivm(ScalingConfig::SharedCore, k, dur, 42, report.obs());
+        let gapped = run_multivm(ScalingConfig::CoreGapped, k, dur, 42, report.obs());
         println!("{k:>5}\t{shared:.0}\t{gapped:.0}");
         report.record(&format!("shared-core {k} VMs"), shared, "units/s");
         report.record(&format!("core-gapped {k} VMs"), gapped, "units/s");

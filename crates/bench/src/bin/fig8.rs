@@ -2,7 +2,7 @@
 //! emulated virtio vs SR-IOV passthrough, shared-core vs core-gapped.
 
 use cg_bench::{header, Report};
-use cg_core::experiments::io::{run_netpipe_obs, NetpipeConfig};
+use cg_core::experiments::io::{run_netpipe, NetpipeConfig};
 
 fn main() {
     let mut report = Report::from_args("fig8");
@@ -30,7 +30,7 @@ fn main() {
     configs.push(NetpipeConfig::DIRECT); // the §5.3 extension
     let results: Vec<_> = configs
         .iter()
-        .map(|&c| run_netpipe_obs(c, sizes, reps, 42, report.obs()))
+        .map(|&c| run_netpipe(c, sizes, reps, 42, report.obs()))
         .collect();
     for c in &configs {
         print!("\t{}", c.label());

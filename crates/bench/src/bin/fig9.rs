@@ -2,7 +2,7 @@
 //! (O_DIRECT), shared-core vs core-gapped.
 
 use cg_bench::{header, Report};
-use cg_core::experiments::io::run_iozone_obs;
+use cg_core::experiments::io::run_iozone;
 
 fn main() {
     let mut report = Report::from_args("fig9");
@@ -22,8 +22,8 @@ fn main() {
         ]
     };
     let reps = if quick { 3 } else { 8 };
-    let shared = run_iozone_obs(false, records, reps, 42, report.obs());
-    let gapped = run_iozone_obs(true, records, reps, 42, report.obs());
+    let shared = run_iozone(false, records, reps, 42, report.obs());
+    let gapped = run_iozone(true, records, reps, 42, report.obs());
     header("Fig. 9: IOzone sync throughput (MiB/s) vs record size");
     println!(
         "{:>10}\tread shared\tread gapped\twrite shared\twrite gapped",

@@ -12,7 +12,7 @@
 //! asserted, not just printed.
 
 use cg_bench::{header, Report};
-use cg_core::experiments::fleet::{run_fleet_obs, FleetConfig, FleetResult};
+use cg_core::experiments::fleet::{run_fleet, FleetConfig, FleetResult};
 use cg_sim::Json;
 
 fn tenant_table(r: &FleetResult) {
@@ -66,7 +66,7 @@ fn main() {
     ];
     let mut results = Vec::new();
     for (i, (tag, cfg)) in ablations.iter().enumerate() {
-        let r = run_fleet_obs(cfg, report.obs());
+        let r = run_fleet(cfg, report.obs());
         attain[i] = r.attainment;
         println!(
             "{:>10} {:>8} {:>8} {:>6} {:>9} {:>8} {:>7} {:>5} {:>4} {:>6.1}%",

@@ -6,7 +6,7 @@
 use cg_bench::{header, Report};
 use cg_core::experiments::apps::run_redis_virtio;
 use cg_core::experiments::io::{
-    run_iozone_fastpath_obs, run_netpipe_fastpath_obs, FastpathRun, IoPathMode,
+    run_iozone_fastpath, run_netpipe_fastpath, FastpathRun, IoPathMode,
 };
 use cg_workloads::redis::RedisCommand;
 
@@ -27,7 +27,7 @@ fn main() {
 
     let net: Vec<FastpathRun> = IoPathMode::ALL
         .iter()
-        .map(|&m| run_netpipe_fastpath_obs(m, sizes, reps, 42, report.obs()))
+        .map(|&m| run_netpipe_fastpath(m, sizes, reps, 42, report.obs()))
         .collect();
 
     header("io_fastpath: NetPIPE round-trip p50 / p99 (us) per message size");
@@ -69,7 +69,7 @@ fn main() {
 
     let disk: Vec<FastpathRun> = IoPathMode::ALL
         .iter()
-        .map(|&m| run_iozone_fastpath_obs(m, records, reps, 42, report.obs()))
+        .map(|&m| run_iozone_fastpath(m, records, reps, 42, report.obs()))
         .collect();
 
     header("io_fastpath: IOzone sync read p50 / p99 (us) per record size");

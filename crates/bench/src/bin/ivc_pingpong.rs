@@ -5,7 +5,8 @@
 //! resilience (dropped doorbells healed, forged doorbells rejected).
 
 use cg_bench::{header, Report};
-use cg_core::experiments::ivc::{run_ivc_pingpong_obs, run_ivc_stream, IvcMode, IvcRun};
+use cg_core::experiments::ivc::{run_ivc_pingpong, run_ivc_stream, IvcMode, IvcRun};
+use cg_core::Obs;
 use cg_sim::{FaultPlan, SimDuration};
 
 fn main() {
@@ -20,7 +21,7 @@ fn main() {
 
     let runs: Vec<IvcRun> = IvcMode::ALL
         .iter()
-        .map(|&m| run_ivc_pingpong_obs(m, sizes, reps, 42, report.obs()))
+        .map(|&m| run_ivc_pingpong(m, sizes, reps, 42, report.obs()))
         .collect();
 
     header("ivc_pingpong: round-trip p50 / p99 (us) per message size");
@@ -94,7 +95,14 @@ fn main() {
         ("drop 30%", FaultPlan::ivc_doorbell_loss(0.3)),
         ("forge 30%", FaultPlan::ivc_forgery(0.3)),
     ] {
-        let run = run_ivc_stream(4096, count, SimDuration::micros(5), 42, plan);
+        let run = run_ivc_stream(
+            4096,
+            count,
+            SimDuration::micros(5),
+            42,
+            plan,
+            &Obs::disabled(),
+        );
         report.record(&format!("stream {label} received"), run.received as f64, "");
         report.record(
             &format!("stream {label} rejected"),

@@ -11,7 +11,7 @@
 //! audit each import, and every VM must resume on the source.
 
 use cg_bench::{header, Report};
-use cg_core::experiments::migrate::{run_migrate_batch_obs, MigrateBatchConfig};
+use cg_core::experiments::migrate::{run_migrate_batch, MigrateBatchConfig};
 use cg_sim::Json;
 
 fn main() {
@@ -35,7 +35,7 @@ fn main() {
         } else {
             base.clone().stop_copy_only()
         };
-        let r = run_migrate_batch_obs(&cfg, report.obs());
+        let r = run_migrate_batch(&cfg, report.obs());
         p99[i] = r.downtime_p99_us;
         let tag = if pre_copy {
             "pre-copy"
@@ -88,7 +88,7 @@ fn main() {
     report.record("p99 improvement", p99[1] - p99[0], "us");
 
     header("Tampered blobs: verified abort, resume on source");
-    let t = run_migrate_batch_obs(&base.clone().with_tampering(), report.obs());
+    let t = run_migrate_batch(&base.clone().with_tampering(), report.obs());
     println!(
         "attempted {}  aborted {}  resumed-on-source {}  imports rejected (audited) {}",
         t.migrations, t.aborted, t.resumed_on_source, t.imports_rejected

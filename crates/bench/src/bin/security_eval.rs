@@ -2,9 +2,7 @@
 //! isolation configuration, checked by the taint machinery.
 
 use cg_bench::{header, Report};
-use cg_core::experiments::security::{
-    run_attack_obs, run_malicious_interruption_obs, AttackScenario,
-};
+use cg_core::experiments::security::{run_attack, run_malicious_interruption, AttackScenario};
 use cg_sim::{Json, SimDuration};
 
 fn main() {
@@ -15,7 +13,7 @@ fn main() {
         "scenario", "probes", "same-core", "secret leaks", "LLC", "property holds"
     );
     for s in AttackScenario::ALL {
-        let o = run_attack_obs(s, SimDuration::millis(200), 42, report.obs());
+        let o = run_attack(s, SimDuration::millis(200), 42, report.obs());
         println!(
             "{:<42} {:>7} {:>12} {:>14} {:>10} {:>18}",
             s.label(),
@@ -42,7 +40,7 @@ fn main() {
         );
     }
     println!();
-    let o = run_malicious_interruption_obs(
+    let o = run_malicious_interruption(
         SimDuration::micros(100),
         SimDuration::millis(200),
         42,

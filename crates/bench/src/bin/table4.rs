@@ -4,21 +4,21 @@
 //! interrupt-related exits 33954 ± 161 → 390 ± 3; total 37712 ± 504 → 1324 ± 60.
 
 use cg_bench::{header, Report};
-use cg_core::experiments::scaling::{run_coremark_obs, ScalingConfig};
+use cg_core::experiments::scaling::{run_coremark, ScalingConfig};
 use cg_sim::SimDuration;
 
 fn main() {
     let mut report = Report::from_args("table4");
     header("Table 4: interrupt delegation effect on CoreMark-PRO (16 cores, 4.5 s)");
     let dur = SimDuration::millis(4_500);
-    let (without, _) = run_coremark_obs(
+    let (without, _) = run_coremark(
         ScalingConfig::CoreGappedNoDelegation,
         16,
         dur,
         42,
         report.obs(),
     );
-    let (with, run_hist) = run_coremark_obs(ScalingConfig::CoreGapped, 16, dur, 42, report.obs());
+    let (with, run_hist) = run_coremark(ScalingConfig::CoreGapped, 16, dur, 42, report.obs());
     report.row(
         "Interrupt-related exits, without delegation",
         without.exits_interrupt as f64,

@@ -2,7 +2,7 @@
 //! 16 physical cores (15 vCPUs under core gapping).
 
 use cg_bench::{header, Report};
-use cg_core::experiments::apps::{paper_redis, run_redis_obs};
+use cg_core::experiments::apps::{paper_redis, run_redis};
 use cg_workloads::redis::RedisCommand;
 
 fn main() {
@@ -20,7 +20,7 @@ fn main() {
             } else {
                 "shared core"
             };
-            let (m, hist) = run_redis_obs(cmd, core_gapped, requests, 42, report.obs());
+            let (m, hist) = run_redis(cmd, core_gapped, requests, 42, report.obs());
             let p = paper_redis(cmd, core_gapped);
             report.row(&format!("{name} {mode} throughput"), m.krps, p.krps, "krps");
             report.row(

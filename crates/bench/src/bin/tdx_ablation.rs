@@ -2,14 +2,14 @@
 //! insecure tables) page-table interfaces on the stage-2 fault path.
 
 use cg_bench::{header, Report};
-use cg_core::experiments::tdx::run_fault_storm_obs;
+use cg_core::experiments::tdx::run_fault_storm;
 
 fn main() {
     let mut report = Report::from_args("tdx_ablation");
     header("TDX-flavour ablation: stage-2 fault service latency (core-gapped CVM)");
     let faults = if report.quick() { 150 } else { 400 };
-    let cca = run_fault_storm_obs(false, faults, 42, report.obs());
-    let tdx = run_fault_storm_obs(true, faults, 42, report.obs());
+    let cca = run_fault_storm(false, faults, 42, report.obs());
+    let tdx = run_fault_storm(true, faults, 42, report.obs());
     report.value(
         "CCA-style (RMM call per table change), mean",
         cca.service_us.mean(),

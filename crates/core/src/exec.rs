@@ -2625,12 +2625,6 @@ impl System {
     /// The exit record reaches the host.
     fn finish_guest_exit(&mut self, core: CoreId, vm: VmId, vcpu: u32, exit: RecExit) {
         let now = self.queue.now();
-        self.trace.emit(
-            now,
-            cg_sim::TraceLevel::Info,
-            "system.exit",
-            format!("{vm}.vcpu{vcpu} exits on {core}: {}", exit.reason),
-        );
         self.strace
             .record(cg_sim::TraceKind::Rpc, Some(core.0), || {
                 format!("run.exit {vm}.vcpu{vcpu} {}", exit.reason)

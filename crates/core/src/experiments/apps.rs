@@ -70,20 +70,12 @@ pub fn paper_redis(command: RedisCommand, core_gapped: bool) -> RedisResult {
 /// Runs the redis-benchmark setup of table 5: 50 closed-loop clients,
 /// 512-byte objects, SR-IOV networking, 16 physical cores (15 guest
 /// vCPUs under core gapping).
+///
+/// Records through the observability bundle `obs` and also returns the
+/// per-request latency histogram (µs), so table-5 reports can quote
+/// measured p50/p95/p99/p99.9 rather than only the three paper
+/// percentiles.
 pub fn run_redis(
-    command: RedisCommand,
-    core_gapped: bool,
-    requests: u64,
-    seed: u64,
-) -> RedisResult {
-    run_redis_obs(command, core_gapped, requests, seed, &Obs::disabled()).0
-}
-
-/// As [`run_redis`], but records through the observability bundle and
-/// also returns the per-request latency histogram (µs), so table-5
-/// reports can quote measured p50/p95/p99/p99.9 rather than only the
-/// three paper percentiles.
-pub fn run_redis_obs(
     command: RedisCommand,
     core_gapped: bool,
     requests: u64,
@@ -181,12 +173,9 @@ pub fn run_redis_virtio(
 
 /// Runs the parallel kernel build (fig. 10) on `total_cores` physical
 /// cores and returns the build time in seconds.
-pub fn run_kbuild(core_gapped: bool, total_cores: u16, jobs: u64, seed: u64) -> f64 {
-    run_kbuild_obs(core_gapped, total_cores, jobs, seed, &Obs::disabled())
-}
-
-/// As [`run_kbuild`], but records through the observability bundle.
-pub fn run_kbuild_obs(core_gapped: bool, total_cores: u16, jobs: u64, seed: u64, obs: &Obs) -> f64 {
+///
+/// Records through the observability bundle `obs`.
+pub fn run_kbuild(core_gapped: bool, total_cores: u16, jobs: u64, seed: u64, obs: &Obs) -> f64 {
     let mut sys_config = SystemConfig::paper_default();
     sys_config.seed = seed;
     let vcpus: u32;
@@ -230,15 +219,15 @@ mod tests {
 
     #[test]
     fn redis_set_completes_and_orders_latency() {
-        let r = run_redis(RedisCommand::Set, true, 3_000, 11);
+        let (r, _) = run_redis(RedisCommand::Set, true, 3_000, 11, &Obs::disabled());
         assert!(r.krps > 10.0, "krps {}", r.krps);
         assert!(r.mean_ms <= r.p95_ms && r.p95_ms <= r.p99_ms);
     }
 
     #[test]
     fn lrange_is_slower_than_set() {
-        let set = run_redis(RedisCommand::Set, false, 2_000, 11);
-        let lrange = run_redis(RedisCommand::Lrange100, false, 1_000, 11);
+        let (set, _) = run_redis(RedisCommand::Set, false, 2_000, 11, &Obs::disabled());
+        let (lrange, _) = run_redis(RedisCommand::Lrange100, false, 1_000, 11, &Obs::disabled());
         assert!(lrange.krps < set.krps / 2.0);
         assert!(lrange.mean_ms > set.mean_ms);
     }
@@ -280,8 +269,8 @@ mod tests {
 
     #[test]
     fn kbuild_scales_with_cores() {
-        let t4 = run_kbuild(true, 4, 60, 3);
-        let t8 = run_kbuild(true, 8, 60, 3);
+        let t4 = run_kbuild(true, 4, 60, 3, &Obs::disabled());
+        let t8 = run_kbuild(true, 8, 60, 3, &Obs::disabled());
         assert!(
             t8 < t4 * 0.65,
             "build time should drop with more cores: {t4} vs {t8}"
@@ -292,8 +281,8 @@ mod tests {
     fn kbuild_modes_are_comparable() {
         // Fig. 10: core-gapped tracks shared-core despite one fewer vCPU
         // and virtio contention.
-        let shared = run_kbuild(false, 8, 60, 3);
-        let gapped = run_kbuild(true, 8, 60, 3);
+        let shared = run_kbuild(false, 8, 60, 3, &Obs::disabled());
+        let gapped = run_kbuild(true, 8, 60, 3, &Obs::disabled());
         let ratio = gapped / shared;
         assert!(
             (0.9..=1.5).contains(&ratio),

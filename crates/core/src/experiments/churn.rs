@@ -172,12 +172,9 @@ impl Driver {
 }
 
 /// Runs the churn schedule derived from `cfg` and reports the outcome.
-pub fn run_churn(cfg: &ChurnConfig) -> ChurnResult {
-    run_churn_obs(cfg, &Obs::disabled())
-}
-
-/// As [`run_churn`], but records through the observability bundle.
-pub fn run_churn_obs(cfg: &ChurnConfig, obs: &Obs) -> ChurnResult {
+///
+/// Records through the observability bundle `obs`.
+pub fn run_churn(cfg: &ChurnConfig, obs: &Obs) -> ChurnResult {
     let schedule = ChurnSchedule::generate(cfg.seed, cfg.tenants, cfg.horizon);
     let mut config = SystemConfig::paper_default();
     config.machine.num_cores = cfg.cores;
@@ -295,17 +292,17 @@ mod tests {
 
     #[test]
     fn same_seed_runs_are_byte_identical() {
-        let a = run_churn(&quick(true, 7));
-        let b = run_churn(&quick(true, 7));
+        let a = run_churn(&quick(true, 7), &Obs::disabled());
+        let b = run_churn(&quick(true, 7), &Obs::disabled());
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_eq!(a.admit_p99_us, b.admit_p99_us);
-        let c = run_churn(&quick(true, 8));
+        let c = run_churn(&quick(true, 8), &Obs::disabled());
         assert_ne!(a.fingerprint, c.fingerprint);
     }
 
     #[test]
     fn churn_actually_churns() {
-        let r = run_churn(&quick(true, 7));
+        let r = run_churn(&quick(true, 7), &Obs::disabled());
         assert!(r.admitted >= 16, "most tenants must get in");
         assert!(r.departed > 0, "some must leave");
         assert!(r.kills > 0);
@@ -317,7 +314,7 @@ mod tests {
 
     #[test]
     fn defrag_off_never_rebinds() {
-        let r = run_churn(&quick(false, 7));
+        let r = run_churn(&quick(false, 7), &Obs::disabled());
         assert_eq!(r.rebinds, 0);
         assert_eq!(r.defrag_passes, 0);
     }

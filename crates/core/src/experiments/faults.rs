@@ -51,17 +51,9 @@ pub struct FaultSweepResult {
 
 /// Runs the exit-heavy workload for `duration` under `plan`, with
 /// recovery per `recovery`.
+///
+/// Records through the observability bundle `obs`.
 pub fn run_fault_sweep(
-    plan: FaultPlan,
-    recovery: RecoveryConfig,
-    duration: SimDuration,
-    seed: u64,
-) -> FaultSweepResult {
-    run_fault_sweep_obs(plan, recovery, duration, seed, &Obs::disabled())
-}
-
-/// As [`run_fault_sweep`], but records through the observability bundle.
-pub fn run_fault_sweep_obs(
     plan: FaultPlan,
     recovery: RecoveryConfig,
     duration: SimDuration,
@@ -121,6 +113,7 @@ mod tests {
             RecoveryConfig::paper_default(),
             SimDuration::millis(20),
             7,
+            &Obs::disabled(),
         );
         assert!(r.score > 0.0);
         assert_eq!(r.doorbells_dropped, 0);
@@ -137,6 +130,7 @@ mod tests {
             RecoveryConfig::paper_default(),
             SimDuration::millis(50),
             7,
+            &Obs::disabled(),
         );
         assert!(r.doorbells_dropped > 0, "injector must actually bite");
         assert!(
@@ -155,6 +149,7 @@ mod tests {
                 RecoveryConfig::paper_default(),
                 SimDuration::millis(30),
                 11,
+                &Obs::disabled(),
             )
         };
         let (a, b) = (run(), run());

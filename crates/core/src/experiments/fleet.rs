@@ -219,12 +219,9 @@ fn tenant_mix(cfg: &FleetConfig) -> Vec<TenantSpec> {
 }
 
 /// Runs the fleet experiment and reports the outcome.
-pub fn run_fleet(cfg: &FleetConfig) -> FleetResult {
-    run_fleet_obs(cfg, &Obs::disabled())
-}
-
-/// As [`run_fleet`], but records through the observability bundle.
-pub fn run_fleet_obs(cfg: &FleetConfig, obs: &Obs) -> FleetResult {
+///
+/// Records through the observability bundle `obs`.
+pub fn run_fleet(cfg: &FleetConfig, obs: &Obs) -> FleetResult {
     let mut config = SystemConfig::paper_default();
     config.machine.num_cores = cfg.cores;
     config.seed = cfg.seed;
@@ -313,7 +310,7 @@ mod tests {
 
     #[test]
     fn accounting_identity_closes() {
-        let r = run_fleet(&quick());
+        let r = run_fleet(&quick(), &Obs::disabled());
         assert_eq!(r.offered, r.admitted + r.shed);
         assert_eq!(r.admitted, r.completed + r.in_flight);
         for t in &r.tenants {
@@ -324,7 +321,7 @@ mod tests {
 
     #[test]
     fn overload_actually_sheds_and_scales() {
-        let r = run_fleet(&quick());
+        let r = run_fleet(&quick(), &Obs::disabled());
         assert!(r.shed > 0, "the hot tenants must overload their gates");
         assert!(r.resizes_up > 0, "the SLO tracker must grow someone");
         assert!(r.completed > 0);
@@ -334,7 +331,7 @@ mod tests {
     fn shedding_off_never_sheds_by_policy() {
         // A migration blackout can still shed TenantUnavailable (the VM
         // is genuinely not there), but no policy reason may ever fire.
-        let r = run_fleet(&quick().shedding_off());
+        let r = run_fleet(&quick().shedding_off(), &Obs::disabled());
         for t in &r.tenants {
             for &(label, count) in &t.shed_by {
                 if label != "unavailable" {
@@ -347,7 +344,7 @@ mod tests {
 
     #[test]
     fn static_allocation_never_resizes() {
-        let r = run_fleet(&quick().static_allocation());
+        let r = run_fleet(&quick().static_allocation(), &Obs::disabled());
         assert_eq!(r.resizes_up + r.resizes_down + r.migrations, 0);
     }
 }

@@ -10,6 +10,7 @@ use cg_workloads::netpipe::Netpipe;
 use cg_workloads::EchoPeer;
 
 use crate::config::{SystemConfig, VmSpec};
+use crate::obs::Obs;
 use crate::system::System;
 
 /// A fig. 8 configuration: device backend × execution mode.
@@ -101,22 +102,14 @@ fn base_config(core_gapped: bool, seed: u64) -> SystemConfig {
 }
 
 /// Runs NetPIPE over `sizes`, returning one point per message size.
+///
+/// Records through the observability bundle `obs`.
 pub fn run_netpipe(
     config: NetpipeConfig,
     sizes: &[u64],
     reps: u32,
     seed: u64,
-) -> BTreeMap<u64, NetpipePoint> {
-    run_netpipe_obs(config, sizes, reps, seed, &crate::obs::Obs::disabled())
-}
-
-/// As [`run_netpipe`], but records through the observability bundle.
-pub fn run_netpipe_obs(
-    config: NetpipeConfig,
-    sizes: &[u64],
-    reps: u32,
-    seed: u64,
-    obs: &crate::obs::Obs,
+    obs: &Obs,
 ) -> BTreeMap<u64, NetpipePoint> {
     let mut sys_config = base_config(config.core_gapped, seed);
     if config.direct_delivery {
@@ -170,28 +163,14 @@ pub type IozonePoint = f64;
 
 /// Runs IOzone sync reads and writes over `records`, returning
 /// `(record, is_write) → MiB/s`.
+///
+/// Records through the observability bundle `obs`.
 pub fn run_iozone(
     core_gapped: bool,
     records: &[u64],
     reps: u32,
     seed: u64,
-) -> BTreeMap<(u64, bool), IozonePoint> {
-    run_iozone_obs(
-        core_gapped,
-        records,
-        reps,
-        seed,
-        &crate::obs::Obs::disabled(),
-    )
-}
-
-/// As [`run_iozone`], but records through the observability bundle.
-pub fn run_iozone_obs(
-    core_gapped: bool,
-    records: &[u64],
-    reps: u32,
-    seed: u64,
-    obs: &crate::obs::Obs,
+    obs: &Obs,
 ) -> BTreeMap<(u64, bool), IozonePoint> {
     let sys_config = base_config(core_gapped, seed);
     let mut system = System::new(sys_config.clone());
@@ -329,18 +308,14 @@ pub(crate) fn fastpath_stats(system: &System, exits_total: u64) -> FastpathStats
 /// Runs NetPIPE over a virtio NIC on the chosen data path, returning
 /// per-size p50/p99 round trips and throughput plus notification
 /// counters.
-pub fn run_netpipe_fastpath(mode: IoPathMode, sizes: &[u64], reps: u32, seed: u64) -> FastpathRun {
-    run_netpipe_fastpath_obs(mode, sizes, reps, seed, &crate::obs::Obs::disabled())
-}
-
-/// As [`run_netpipe_fastpath`], but records through the observability
-/// bundle.
-pub fn run_netpipe_fastpath_obs(
+///
+/// Records through the observability bundle `obs`.
+pub fn run_netpipe_fastpath(
     mode: IoPathMode,
     sizes: &[u64],
     reps: u32,
     seed: u64,
-    obs: &crate::obs::Obs,
+    obs: &Obs,
 ) -> FastpathRun {
     let sys_config = base_config(true, seed);
     let mut system = System::new(sys_config.clone());
@@ -383,18 +358,14 @@ pub fn run_netpipe_fastpath_obs(
 
 /// Runs IOzone sync reads on the chosen data path, returning per-record
 /// p50/p99 request times and MiB/s plus notification counters.
-pub fn run_iozone_fastpath(mode: IoPathMode, records: &[u64], reps: u32, seed: u64) -> FastpathRun {
-    run_iozone_fastpath_obs(mode, records, reps, seed, &crate::obs::Obs::disabled())
-}
-
-/// As [`run_iozone_fastpath`], but records through the observability
-/// bundle.
-pub fn run_iozone_fastpath_obs(
+///
+/// Records through the observability bundle `obs`.
+pub fn run_iozone_fastpath(
     mode: IoPathMode,
     records: &[u64],
     reps: u32,
     seed: u64,
-    obs: &crate::obs::Obs,
+    obs: &Obs,
 ) -> FastpathRun {
     let sys_config = base_config(true, seed);
     let mut system = System::new(sys_config.clone());
@@ -444,7 +415,7 @@ mod tests {
     #[test]
     fn netpipe_completes_on_all_configs() {
         for config in NetpipeConfig::ALL {
-            let points = run_netpipe(config, &[1024, 65536], 3, 5);
+            let points = run_netpipe(config, &[1024, 65536], 3, 5, &Obs::disabled());
             assert_eq!(points.len(), 2, "{}", config.label());
             assert!(points[&1024].rtt_us > 0.0);
             assert!(points[&65536].mbps > points[&1024].mbps * 0.5);
@@ -462,6 +433,7 @@ mod tests {
             &[1500],
             5,
             5,
+            &Obs::disabled(),
         );
         let gapped = run_netpipe(
             NetpipeConfig {
@@ -472,6 +444,7 @@ mod tests {
             &[1500],
             5,
             5,
+            &Obs::disabled(),
         );
         // Paper fig. 8: up to 2× latency for virtio under core gapping.
         assert!(
@@ -493,6 +466,7 @@ mod tests {
             &[1500],
             5,
             5,
+            &Obs::disabled(),
         );
         let gapped = run_netpipe(
             NetpipeConfig {
@@ -503,6 +477,7 @@ mod tests {
             &[1500],
             5,
             5,
+            &Obs::disabled(),
         );
         // Paper fig. 8: SR-IOV latency within 10–20 µs of the baseline.
         let delta = gapped[&1500].rtt_us - shared[&1500].rtt_us;
@@ -525,8 +500,9 @@ mod tests {
             &[1500],
             5,
             5,
+            &Obs::disabled(),
         );
-        let direct = run_netpipe(NetpipeConfig::DIRECT, &[1500], 5, 5);
+        let direct = run_netpipe(NetpipeConfig::DIRECT, &[1500], 5, 5, &Obs::disabled());
         // With local injection the gapped CVM matches (or beats) the
         // shared-core baseline on SR-IOV latency.
         assert!(
@@ -540,8 +516,8 @@ mod tests {
     #[test]
     fn fastpath_beats_exit_per_kick_on_small_messages() {
         let sizes = [64u64, 1024, 65536];
-        let legacy = run_netpipe_fastpath(IoPathMode::Legacy, &sizes, 5, 5);
-        let fast = run_netpipe_fastpath(IoPathMode::Fastpath, &sizes, 5, 5);
+        let legacy = run_netpipe_fastpath(IoPathMode::Legacy, &sizes, 5, 5, &Obs::disabled());
+        let fast = run_netpipe_fastpath(IoPathMode::Fastpath, &sizes, 5, 5, &Obs::disabled());
         // Small messages are notification-dominated: the shared-memory
         // path must win outright.
         assert!(
@@ -562,8 +538,8 @@ mod tests {
 
     #[test]
     fn fastpath_takes_fewer_exits_than_legacy() {
-        let legacy = run_netpipe_fastpath(IoPathMode::Legacy, &[1024], 20, 5);
-        let fast = run_netpipe_fastpath(IoPathMode::Fastpath, &[1024], 20, 5);
+        let legacy = run_netpipe_fastpath(IoPathMode::Legacy, &[1024], 20, 5, &Obs::disabled());
+        let fast = run_netpipe_fastpath(IoPathMode::Fastpath, &[1024], 20, 5, &Obs::disabled());
         assert!(
             fast.stats.exits_total < legacy.stats.exits_total / 2,
             "fast {} exits vs legacy {}",
@@ -575,7 +551,7 @@ mod tests {
 
     #[test]
     fn iozone_fastpath_runs_on_blk() {
-        let fast = run_iozone_fastpath(IoPathMode::Fastpath, &[4096], 5, 5);
+        let fast = run_iozone_fastpath(IoPathMode::Fastpath, &[4096], 5, 5, &Obs::disabled());
         assert!(fast.points[&4096].p50_us > 0.0);
         assert!(fast.stats.kicks > 0);
         assert!(fast.stats.irqs > 0);
@@ -583,16 +559,16 @@ mod tests {
 
     #[test]
     fn fastpath_run_is_deterministic() {
-        let a = run_netpipe_fastpath(IoPathMode::Fastpath, &[1024], 5, 7);
-        let b = run_netpipe_fastpath(IoPathMode::Fastpath, &[1024], 5, 7);
+        let a = run_netpipe_fastpath(IoPathMode::Fastpath, &[1024], 5, 7, &Obs::disabled());
+        let b = run_netpipe_fastpath(IoPathMode::Fastpath, &[1024], 5, 7, &Obs::disabled());
         assert_eq!(a, b);
         assert_eq!(a.stats.fingerprint, b.stats.fingerprint);
     }
 
     #[test]
     fn iozone_parity_at_large_records_only() {
-        let shared = run_iozone(false, &[4096, 16 << 20], 3, 5);
-        let gapped = run_iozone(true, &[4096, 16 << 20], 3, 5);
+        let shared = run_iozone(false, &[4096, 16 << 20], 3, 5, &Obs::disabled());
+        let gapped = run_iozone(true, &[4096, 16 << 20], 3, 5, &Obs::disabled());
         let small_ratio = gapped[&(4096, false)] / shared[&(4096, false)];
         let large_ratio = gapped[&(16 << 20, false)] / shared[&(16 << 20, false)];
         // Paper fig. 9: gapped loses at small records, parity ≥ 10 MiB.

@@ -13,6 +13,7 @@ use cg_workloads::netpipe::Netpipe;
 use cg_workloads::EchoPeer;
 
 use crate::config::{SystemConfig, VmSpec};
+use crate::obs::Obs;
 use crate::system::System;
 
 /// The channel id (and shared-window region selector) the experiments
@@ -119,25 +120,15 @@ fn total_exits(system: &System, vms: &[crate::system::VmId]) -> u64 {
 /// Runs the ping-pong sweep over `sizes` with `reps` round trips each,
 /// with an optional hostile-host fault plan, returning per-size
 /// p50/p99/Mbps plus the channel counters.
+///
+/// Records through the observability bundle `obs`.
 pub fn run_ivc_pingpong_faults(
     mode: IvcMode,
     sizes: &[u64],
     reps: u32,
     seed: u64,
     fault: FaultPlan,
-) -> IvcRun {
-    run_ivc_pingpong_faults_obs(mode, sizes, reps, seed, fault, &crate::obs::Obs::disabled())
-}
-
-/// As [`run_ivc_pingpong_faults`], but records through the
-/// observability bundle.
-pub fn run_ivc_pingpong_faults_obs(
-    mode: IvcMode,
-    sizes: &[u64],
-    reps: u32,
-    seed: u64,
-    fault: FaultPlan,
-    obs: &crate::obs::Obs,
+    obs: &Obs,
 ) -> IvcRun {
     let mut sys_config = base_config(seed);
     sys_config.fault = fault;
@@ -209,20 +200,10 @@ pub fn run_ivc_pingpong_faults_obs(
 }
 
 /// As [`run_ivc_pingpong_faults`] with no fault injection.
-pub fn run_ivc_pingpong(mode: IvcMode, sizes: &[u64], reps: u32, seed: u64) -> IvcRun {
-    run_ivc_pingpong_faults(mode, sizes, reps, seed, FaultPlan::none())
-}
-
-/// As [`run_ivc_pingpong`], but records through the observability
-/// bundle.
-pub fn run_ivc_pingpong_obs(
-    mode: IvcMode,
-    sizes: &[u64],
-    reps: u32,
-    seed: u64,
-    obs: &crate::obs::Obs,
-) -> IvcRun {
-    run_ivc_pingpong_faults_obs(mode, sizes, reps, seed, FaultPlan::none(), obs)
+///
+/// Records through the observability bundle `obs`.
+pub fn run_ivc_pingpong(mode: IvcMode, sizes: &[u64], reps: u32, seed: u64, obs: &Obs) -> IvcRun {
+    run_ivc_pingpong_faults(mode, sizes, reps, seed, FaultPlan::none(), obs)
 }
 
 fn point(mut samples: cg_sim::Samples, size: u64) -> IvcPoint {
@@ -251,31 +232,15 @@ pub struct IvcStreamRun {
 /// Runs the one-way streaming pair — producer publishing `count`
 /// messages of `bytes` with `pace` compute between each, consumer
 /// draining on doorbells — under an optional hostile-host fault plan.
+///
+/// Records through the observability bundle `obs`.
 pub fn run_ivc_stream(
     bytes: u64,
     count: u64,
     pace: SimDuration,
     seed: u64,
     fault: FaultPlan,
-) -> IvcStreamRun {
-    run_ivc_stream_obs(
-        bytes,
-        count,
-        pace,
-        seed,
-        fault,
-        &crate::obs::Obs::disabled(),
-    )
-}
-
-/// As [`run_ivc_stream`], but records through the observability bundle.
-pub fn run_ivc_stream_obs(
-    bytes: u64,
-    count: u64,
-    pace: SimDuration,
-    seed: u64,
-    fault: FaultPlan,
-    obs: &crate::obs::Obs,
+    obs: &Obs,
 ) -> IvcStreamRun {
     let mut sys_config = base_config(seed);
     sys_config.fault = fault;
@@ -332,7 +297,7 @@ mod tests {
     #[test]
     fn ivc_pingpong_completes_and_collects_all_sizes() {
         let sizes = [64u64, 4096, 65536];
-        let run = run_ivc_pingpong(IvcMode::Ivc, &sizes, 3, 5);
+        let run = run_ivc_pingpong(IvcMode::Ivc, &sizes, 3, 5, &Obs::disabled());
         assert_eq!(run.points.len(), sizes.len());
         assert_eq!(run.stats.messages_sent, run.stats.messages_drained);
         assert_eq!(run.stats.messages_sent, 2 * 3 * sizes.len() as u64);
@@ -343,8 +308,8 @@ mod tests {
     #[test]
     fn ivc_beats_host_relay_at_every_size() {
         let sizes = [64u64, 4096, 65536];
-        let relay = run_ivc_pingpong(IvcMode::HostRelay, &sizes, 3, 5);
-        let ivc = run_ivc_pingpong(IvcMode::Ivc, &sizes, 3, 5);
+        let relay = run_ivc_pingpong(IvcMode::HostRelay, &sizes, 3, 5, &Obs::disabled());
+        let ivc = run_ivc_pingpong(IvcMode::Ivc, &sizes, 3, 5, &Obs::disabled());
         for &size in &sizes {
             assert!(
                 ivc.points[&size].p50_us < relay.points[&size].p50_us,
@@ -359,8 +324,8 @@ mod tests {
     fn ivc_data_path_takes_no_exits() {
         // Steady-state proof: scaling the round count must not scale
         // the exit count — everything rides the channel.
-        let few = run_ivc_pingpong(IvcMode::Ivc, &[1024], 2, 5);
-        let many = run_ivc_pingpong(IvcMode::Ivc, &[1024], 20, 5);
+        let few = run_ivc_pingpong(IvcMode::Ivc, &[1024], 2, 5, &Obs::disabled());
+        let many = run_ivc_pingpong(IvcMode::Ivc, &[1024], 20, 5, &Obs::disabled());
         assert!(many.stats.messages_sent > 5 * few.stats.messages_sent);
         assert_eq!(
             few.stats.exits_total, many.stats.exits_total,
@@ -371,7 +336,14 @@ mod tests {
 
     #[test]
     fn ivc_stream_delivers_in_order() {
-        let run = run_ivc_stream(4096, 40, SimDuration::micros(5), 5, FaultPlan::none());
+        let run = run_ivc_stream(
+            4096,
+            40,
+            SimDuration::micros(5),
+            5,
+            FaultPlan::none(),
+            &Obs::disabled(),
+        );
         assert_eq!(run.received, 40);
         assert_eq!(run.out_of_order, 0);
         assert_eq!(run.stats.watchdog_recovered, 0);
@@ -385,6 +357,7 @@ mod tests {
             SimDuration::micros(5),
             5,
             FaultPlan::ivc_doorbell_loss(0.5),
+            &Obs::disabled(),
         );
         assert_eq!(run.received, 40, "stream did not heal");
         assert!(
@@ -401,6 +374,7 @@ mod tests {
             SimDuration::micros(5),
             5,
             FaultPlan::ivc_forgery(0.3),
+            &Obs::disabled(),
         );
         assert_eq!(run.received, 40, "stream did not heal after misroutes");
         assert!(
@@ -411,8 +385,8 @@ mod tests {
 
     #[test]
     fn ivc_runs_are_deterministic() {
-        let a = run_ivc_pingpong(IvcMode::Ivc, &[1024], 5, 7);
-        let b = run_ivc_pingpong(IvcMode::Ivc, &[1024], 5, 7);
+        let a = run_ivc_pingpong(IvcMode::Ivc, &[1024], 5, 7, &Obs::disabled());
+        let b = run_ivc_pingpong(IvcMode::Ivc, &[1024], 5, 7, &Obs::disabled());
         assert_eq!(a, b);
         let fa = run_ivc_stream(
             4096,
@@ -420,6 +394,7 @@ mod tests {
             SimDuration::micros(5),
             7,
             FaultPlan::ivc_forgery(0.3),
+            &Obs::disabled(),
         );
         let fb = run_ivc_stream(
             4096,
@@ -427,6 +402,7 @@ mod tests {
             SimDuration::micros(5),
             7,
             FaultPlan::ivc_forgery(0.3),
+            &Obs::disabled(),
         );
         assert_eq!(fa, fb);
         assert_eq!(fa.stats.fingerprint, fb.stats.fingerprint);

@@ -48,19 +48,11 @@ impl IpiConfig {
 
 /// Runs the virtual IPI ping benchmark and returns delivery-latency
 /// statistics in microseconds.
-pub fn run_vipi(config: IpiConfig, pings: u64, seed: u64) -> OnlineStats {
-    run_vipi_obs(config, pings, seed, &Obs::disabled()).0
-}
-
-/// As [`run_vipi`], but records through the observability bundle and
-/// also returns the log-bucketed latency histogram (µs) so reports can
-/// quote percentiles, not just the mean.
-pub fn run_vipi_obs(
-    config: IpiConfig,
-    pings: u64,
-    seed: u64,
-    obs: &Obs,
-) -> (OnlineStats, Histogram) {
+///
+/// Records through the observability bundle `obs` and also returns the
+/// log-bucketed latency histogram (µs) so reports can quote
+/// percentiles, not just the mean.
+pub fn run_vipi(config: IpiConfig, pings: u64, seed: u64, obs: &Obs) -> (OnlineStats, Histogram) {
     let mut sys_config = SystemConfig::paper_default();
     sys_config.seed = seed;
     match config {
@@ -101,7 +93,7 @@ mod tests {
 
     #[test]
     fn delegated_ipi_is_fast_and_avoids_host() {
-        let stats = run_vipi(IpiConfig::CoreGappedDelegated, 50, 7);
+        let (stats, _) = run_vipi(IpiConfig::CoreGappedDelegated, 50, 7, &Obs::disabled());
         assert!(stats.count() >= 45, "only {} samples", stats.count());
         // Paper: 2.22 µs. Allow generous tolerance on the mean; the
         // decisive comparisons are cross-config.
@@ -110,8 +102,8 @@ mod tests {
 
     #[test]
     fn undelegated_ipi_is_an_order_of_magnitude_slower() {
-        let fast = run_vipi(IpiConfig::CoreGappedDelegated, 30, 7);
-        let slow = run_vipi(IpiConfig::CoreGappedNoDelegation, 30, 7);
+        let (fast, _) = run_vipi(IpiConfig::CoreGappedDelegated, 30, 7, &Obs::disabled());
+        let (slow, _) = run_vipi(IpiConfig::CoreGappedNoDelegation, 30, 7, &Obs::disabled());
         assert!(
             slow.mean() > 5.0 * fast.mean(),
             "delegated {} µs vs undelegated {} µs",
@@ -122,9 +114,9 @@ mod tests {
 
     #[test]
     fn shared_core_sits_between() {
-        let shared = run_vipi(IpiConfig::SharedCore, 30, 7);
-        let fast = run_vipi(IpiConfig::CoreGappedDelegated, 30, 7);
-        let slow = run_vipi(IpiConfig::CoreGappedNoDelegation, 30, 7);
+        let (shared, _) = run_vipi(IpiConfig::SharedCore, 30, 7, &Obs::disabled());
+        let (fast, _) = run_vipi(IpiConfig::CoreGappedDelegated, 30, 7, &Obs::disabled());
+        let (slow, _) = run_vipi(IpiConfig::CoreGappedNoDelegation, 30, 7, &Obs::disabled());
         assert!(shared.count() >= 25);
         assert!(
             fast.mean() < shared.mean() && shared.mean() < slow.mean(),

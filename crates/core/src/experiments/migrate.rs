@@ -121,13 +121,10 @@ pub struct MigrateBatchResult {
 }
 
 /// Runs the migration batch and reports the outcome.
-pub fn run_migrate_batch(cfg: &MigrateBatchConfig) -> MigrateBatchResult {
-    run_migrate_batch_obs(cfg, &Obs::disabled())
-}
-
-/// As [`run_migrate_batch`], but records through the observability
-/// bundle (attached to the source node — where the protocol runs).
-pub fn run_migrate_batch_obs(cfg: &MigrateBatchConfig, obs: &Obs) -> MigrateBatchResult {
+///
+/// Records through the observability bundle `obs` (attached to the
+/// source node — where the protocol runs).
+pub fn run_migrate_batch(cfg: &MigrateBatchConfig, obs: &Obs) -> MigrateBatchResult {
     let mut node = SystemConfig::paper_default();
     node.machine.num_cores = cfg.cores;
     node.seed = cfg.seed;
@@ -235,7 +232,7 @@ mod tests {
 
     #[test]
     fn precopy_batch_drains_the_source() {
-        let r = run_migrate_batch(&quick());
+        let r = run_migrate_batch(&quick(), &Obs::disabled());
         assert_eq!(r.completed, 2);
         assert_eq!(r.aborted, 0);
         assert_eq!(r.imports_rejected, 0);
@@ -246,7 +243,7 @@ mod tests {
 
     #[test]
     fn tampered_batch_aborts_and_resumes_every_vm() {
-        let r = run_migrate_batch(&quick().with_tampering());
+        let r = run_migrate_batch(&quick().with_tampering(), &Obs::disabled());
         assert_eq!(r.completed, 0);
         assert_eq!(r.aborted, 2);
         assert_eq!(r.resumed_on_source, 2);
@@ -255,8 +252,8 @@ mod tests {
 
     #[test]
     fn batches_replay_byte_identically() {
-        let a = run_migrate_batch(&quick());
-        let b = run_migrate_batch(&quick());
+        let a = run_migrate_batch(&quick(), &Obs::disabled());
+        let b = run_migrate_batch(&quick(), &Obs::disabled());
         assert_eq!(a.src_fingerprint, b.src_fingerprint);
         assert_eq!(a.dst_fingerprint, b.dst_fingerprint);
         assert_eq!(a.downtime_p99_us, b.downtime_p99_us);

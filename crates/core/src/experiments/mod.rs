@@ -1,5 +1,11 @@
 //! Prebuilt experiment configurations for every table and figure of the
-//! paper's evaluation (populated as the harness grows).
+//! paper's evaluation, plus the planes added since (I/O fast path, IVC,
+//! churn, migration, fleet, fault sweeps).
+//!
+//! Each experiment has one entry point, `run_*`. All of them except
+//! [`apps::run_redis_virtio`] take the observability bundle as their last
+//! argument; pass [`Obs::disabled()`](crate::Obs::disabled) to record
+//! nothing.
 
 pub mod apps;
 pub mod churn;

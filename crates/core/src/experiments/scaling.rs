@@ -95,18 +95,10 @@ pub struct CoremarkResult {
 /// (paper fig. 6 uses a single VM and a single host core; following
 /// §5.1, the core-gapped VM gets `total_cores − 1` vCPUs while the
 /// shared-core baseline gets `total_cores` vCPUs on the same cores).
+///
+/// Records through the observability bundle `obs` and also returns the
+/// run-to-run latency histogram (µs).
 pub fn run_coremark(
-    config: ScalingConfig,
-    total_cores: u16,
-    duration: SimDuration,
-    seed: u64,
-) -> CoremarkResult {
-    run_coremark_obs(config, total_cores, duration, seed, &Obs::disabled()).0
-}
-
-/// As [`run_coremark`], but records through the observability bundle
-/// and also returns the run-to-run latency histogram (µs).
-pub fn run_coremark_obs(
     config: ScalingConfig,
     total_cores: u16,
     duration: SimDuration,
@@ -177,12 +169,9 @@ pub fn run_coremark_obs(
 /// Core-gapped CVMs share a *single* host core for all their VMM
 /// threads — the paper's key scalability point ("running up to 16 VMMs
 /// pinned on a single host core does not harm throughput").
-pub fn run_multivm(config: ScalingConfig, count: u16, duration: SimDuration, seed: u64) -> f64 {
-    run_multivm_obs(config, count, duration, seed, &Obs::disabled())
-}
-
-/// As [`run_multivm`], but records through the observability bundle.
-pub fn run_multivm_obs(
+///
+/// Records through the observability bundle `obs`.
+pub fn run_multivm(
     config: ScalingConfig,
     count: u16,
     duration: SimDuration,
@@ -249,7 +238,7 @@ mod tests {
 
     #[test]
     fn core_gapped_runs_and_scores() {
-        let r = run_coremark(ScalingConfig::CoreGapped, 4, RUN, 1);
+        let (r, _) = run_coremark(ScalingConfig::CoreGapped, 4, RUN, 1, &Obs::disabled());
         // 3 vCPUs × ~10k units/sec each, minus overheads.
         assert!(r.score > 10_000.0, "score {}", r.score);
         assert!(r.exits_total < 200, "exits {}", r.exits_total);
@@ -257,7 +246,7 @@ mod tests {
 
     #[test]
     fn shared_core_runs_and_scores() {
-        let r = run_coremark(ScalingConfig::SharedCore, 4, RUN, 1);
+        let (r, _) = run_coremark(ScalingConfig::SharedCore, 4, RUN, 1, &Obs::disabled());
         assert!(r.score > 10_000.0, "score {}", r.score);
     }
 
@@ -265,8 +254,8 @@ mod tests {
     fn run_to_run_latency_stays_flat_with_core_count() {
         // Paper §5.2: "run-to-run latency does not noticeably increase
         // with the guest core count".
-        let small = run_coremark(ScalingConfig::CoreGapped, 4, RUN, 1);
-        let large = run_coremark(ScalingConfig::CoreGapped, 16, RUN, 1);
+        let (small, _) = run_coremark(ScalingConfig::CoreGapped, 4, RUN, 1, &Obs::disabled());
+        let (large, _) = run_coremark(ScalingConfig::CoreGapped, 16, RUN, 1, &Obs::disabled());
         assert!(small.run_to_run_us_mean > 0.0);
         let ratio = large.run_to_run_us_mean / small.run_to_run_us_mean;
         assert!(
@@ -282,8 +271,14 @@ mod tests {
         // The comparison the paper could not measure (§5.1): a
         // shared-core CVM is strictly slower than the non-confidential
         // baseline on the same cores.
-        let plain = run_coremark(ScalingConfig::SharedCore, 4, RUN, 1);
-        let scc = run_coremark(ScalingConfig::SharedCoreConfidential, 4, RUN, 1);
+        let (plain, _) = run_coremark(ScalingConfig::SharedCore, 4, RUN, 1, &Obs::disabled());
+        let (scc, _) = run_coremark(
+            ScalingConfig::SharedCoreConfidential,
+            4,
+            RUN,
+            1,
+            &Obs::disabled(),
+        );
         assert!(
             scc.score < plain.score * 0.995,
             "CVM {} vs plain {}",
@@ -294,8 +289,14 @@ mod tests {
 
     #[test]
     fn delegation_slashes_interrupt_exits() {
-        let with = run_coremark(ScalingConfig::CoreGapped, 4, RUN, 1);
-        let without = run_coremark(ScalingConfig::CoreGappedNoDelegation, 4, RUN, 1);
+        let (with, _) = run_coremark(ScalingConfig::CoreGapped, 4, RUN, 1, &Obs::disabled());
+        let (without, _) = run_coremark(
+            ScalingConfig::CoreGappedNoDelegation,
+            4,
+            RUN,
+            1,
+            &Obs::disabled(),
+        );
         assert!(
             without.exits_interrupt > 10 * with.exits_interrupt.max(1),
             "with: {}, without: {}",

@@ -12,6 +12,7 @@ use cg_workloads::attacker::{AttackerLoop, VictimLoop};
 use cg_workloads::kernel::GuestKernel;
 
 use crate::config::{SystemConfig, VmSpec};
+use crate::obs::Obs;
 use crate::system::System;
 
 /// The isolation configuration under attack.
@@ -72,16 +73,13 @@ impl ScenarioOutcome {
 }
 
 /// Runs `scenario` for `duration` and reports what leaked.
-pub fn run_attack(scenario: AttackScenario, duration: SimDuration, seed: u64) -> ScenarioOutcome {
-    run_attack_obs(scenario, duration, seed, &crate::obs::Obs::disabled())
-}
-
-/// As [`run_attack`], but records through the observability bundle.
-pub fn run_attack_obs(
+///
+/// Records through the observability bundle `obs`.
+pub fn run_attack(
     scenario: AttackScenario,
     duration: SimDuration,
     seed: u64,
-    obs: &crate::obs::Obs,
+    obs: &Obs,
 ) -> ScenarioOutcome {
     let mut config = SystemConfig::paper_default();
     config.seed = seed;
@@ -200,21 +198,13 @@ pub struct InterruptionOutcome {
 }
 
 /// Runs the malicious-interruption scenario for `duration`.
+///
+/// Records through the observability bundle `obs`.
 pub fn run_malicious_interruption(
     kick_period: SimDuration,
     duration: SimDuration,
     seed: u64,
-) -> InterruptionOutcome {
-    run_malicious_interruption_obs(kick_period, duration, seed, &crate::obs::Obs::disabled())
-}
-
-/// As [`run_malicious_interruption`], but records through the
-/// observability bundle.
-pub fn run_malicious_interruption_obs(
-    kick_period: SimDuration,
-    duration: SimDuration,
-    seed: u64,
-    obs: &crate::obs::Obs,
+    obs: &Obs,
 ) -> InterruptionOutcome {
     let mut config = SystemConfig::paper_default();
     config.seed = seed;
@@ -263,7 +253,12 @@ mod tests {
 
     #[test]
     fn shared_core_time_slicing_leaks_secrets() {
-        let o = run_attack(AttackScenario::SharedCoreTimeSliced, RUN, 9);
+        let o = run_attack(
+            AttackScenario::SharedCoreTimeSliced,
+            RUN,
+            9,
+            &Obs::disabled(),
+        );
         assert!(o.probes > 10);
         assert!(o.same_core_leaks > 0, "co-scheduling must leak");
         assert!(o.same_core_secret_leaks > 0, "secret footprints observable");
@@ -273,7 +268,12 @@ mod tests {
 
     #[test]
     fn mitigation_flush_does_not_save_shared_core_cvms() {
-        let o = run_attack(AttackScenario::SharedCoreConfidential, RUN, 9);
+        let o = run_attack(
+            AttackScenario::SharedCoreConfidential,
+            RUN,
+            9,
+            &Obs::disabled(),
+        );
         // The monitor flushes BP/fill buffers on every boundary, but
         // cache and TLB footprints survive co-scheduling.
         assert!(o.same_core_leaks > 0);
@@ -282,7 +282,12 @@ mod tests {
 
     #[test]
     fn interruption_storm_cannot_extract_the_secret() {
-        let o = run_malicious_interruption(SimDuration::micros(200), SimDuration::millis(50), 9);
+        let o = run_malicious_interruption(
+            SimDuration::micros(200),
+            SimDuration::millis(50),
+            9,
+            &Obs::disabled(),
+        );
         // The harassment worked as an attack primitive...
         assert!(o.forced_exits > 100, "only {} forced exits", o.forced_exits);
         assert!(o.victim_progressed);
@@ -294,7 +299,7 @@ mod tests {
 
     #[test]
     fn core_gapping_eliminates_same_core_leakage() {
-        let o = run_attack(AttackScenario::CoreGapped, RUN, 9);
+        let o = run_attack(AttackScenario::CoreGapped, RUN, 9, &Obs::disabled());
         assert!(o.probes > 10, "attacker did run ({} probes)", o.probes);
         assert_eq!(o.same_core_leaks, 0);
         assert_eq!(o.same_core_secret_leaks, 0);

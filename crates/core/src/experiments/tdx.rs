@@ -13,6 +13,7 @@ use cg_workloads::faultstorm::FaultStorm;
 use cg_workloads::kernel::GuestKernel;
 
 use crate::config::{SystemConfig, VmSpec};
+use crate::obs::Obs;
 use crate::system::System;
 
 /// Result of one fault-storm run.
@@ -27,17 +28,9 @@ pub struct FaultResult {
 /// Runs the stage-2 fault storm on a core-gapped CVM with either the
 /// CCA-style (monitor-mediated) or TDX-style (host-managed insecure
 /// tables) page-table interface.
-pub fn run_fault_storm(tdx_style: bool, faults: u64, seed: u64) -> FaultResult {
-    run_fault_storm_obs(tdx_style, faults, seed, &crate::obs::Obs::disabled())
-}
-
-/// As [`run_fault_storm`], but records through the observability bundle.
-pub fn run_fault_storm_obs(
-    tdx_style: bool,
-    faults: u64,
-    seed: u64,
-    obs: &crate::obs::Obs,
-) -> FaultResult {
+///
+/// Records through the observability bundle `obs`.
+pub fn run_fault_storm(tdx_style: bool, faults: u64, seed: u64, obs: &Obs) -> FaultResult {
     let mut config = SystemConfig::paper_default();
     config.seed = seed;
     config.machine.num_cores = 4;
@@ -64,15 +57,15 @@ mod tests {
 
     #[test]
     fn faults_are_resolved_and_pages_stay_mapped() {
-        let r = run_fault_storm(false, 50, 3);
+        let r = run_fault_storm(false, 50, 3, &Obs::disabled());
         assert_eq!(r.faults, 50);
         assert!(r.service_us.count() >= 50);
     }
 
     #[test]
     fn tdx_style_tables_shave_the_monitor_rpcs() {
-        let cca = run_fault_storm(false, 100, 3);
-        let tdx = run_fault_storm(true, 100, 3);
+        let cca = run_fault_storm(false, 100, 3, &Obs::disabled());
+        let tdx = run_fault_storm(true, 100, 3, &Obs::disabled());
         // "Moderately better": a measurable constant saving per fault.
         let delta = cca.service_us.mean() - tdx.service_us.mean();
         assert!(

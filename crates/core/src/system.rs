@@ -12,7 +12,7 @@ use cg_rmm::Rmm;
 use cg_rpc::{Doorbell, SyncChannel};
 use cg_sim::{
     EventQueue, EventToken, FaultInjector, FlightRecorder, Profiler, SimDuration, SimRng, SimTime,
-    SpanId, TimeSeries, Trace, TraceCtx, TraceDumpGuard, TraceHandle, TraceKind, TraceRecord,
+    SpanId, TimeSeries, TraceCtx, TraceDumpGuard, TraceHandle, TraceKind, TraceRecord,
 };
 use cg_workloads::{GuestOp, GuestProgram, NetPeer};
 
@@ -63,19 +63,20 @@ enum StructuredMode {
 }
 
 /// Builder bundling every tracing knob behind one call,
-/// [`System::configure_trace`]: the text trace, the structured trace (a
-/// ring for panic-dump context, or a full capture for divergence
-/// diagnosis with [`cg_sim::TraceDiff`]) and the panic-dump sink. Unset
-/// options leave the corresponding sink untouched, so bundles compose.
+/// [`System::configure_trace`]: the structured trace (a ring for
+/// panic-dump context, or a full capture for divergence diagnosis with
+/// [`cg_sim::TraceDiff`]) and the panic-dump sink. Unset options leave
+/// the corresponding sink untouched, so bundles compose. Text output
+/// comes from the structured records:
+/// `system.structured_trace().render_tail(n)`.
 ///
 /// ```
 /// use cg_core::TraceOptions;
 ///
-/// let opts = TraceOptions::new().text(256).structured_capture();
+/// let opts = TraceOptions::new().structured_capture();
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TraceOptions {
-    text: Option<usize>,
     structured: StructuredMode,
     dump_sink: Option<std::rc::Rc<std::cell::RefCell<String>>>,
 }
@@ -84,13 +85,6 @@ impl TraceOptions {
     /// An empty bundle: applying it changes nothing.
     pub fn new() -> TraceOptions {
         TraceOptions::default()
-    }
-
-    /// Enables the human-readable text trace retaining the last
-    /// `capacity` lines (dumped via [`System::dump_trace`]).
-    pub fn text(mut self, capacity: usize) -> TraceOptions {
-        self.text = Some(capacity);
-        self
     }
 
     /// Enables the structured trace as a bounded ring of `capacity`
@@ -528,7 +522,6 @@ pub struct System {
     /// Seeded hostile-host fault injector. Inert (draws no randomness)
     /// when the configured [`cg_sim::FaultPlan`] is `none()`.
     pub(crate) fault: FaultInjector,
-    pub(crate) trace: Trace,
     /// Structured trace shared with every instrumented subsystem
     /// (disabled by default; see [`System::configure_trace`]).
     pub(crate) strace: TraceHandle,
@@ -613,7 +606,6 @@ impl System {
             metrics: Metrics::new(num_cores),
             attack_report: cg_attacks::LeakReport::new(),
             rng,
-            trace: Trace::disabled(),
             strace: TraceHandle::disabled(),
             profiler: Profiler::disabled(),
             flight: FlightRecorder::new(),
@@ -676,19 +668,17 @@ impl System {
     }
 
     /// Applies a [`TraceOptions`] bundle: the one entry point for
-    /// enabling the text trace, the structured trace (ring or full
-    /// capture), and the panic-dump sink.
+    /// enabling the structured trace (ring or full capture) and the
+    /// panic-dump sink.
     ///
     /// ```
     /// use cg_core::{System, SystemConfig, TraceOptions};
     ///
     /// let mut system = System::new(SystemConfig::small());
-    /// system.configure_trace(TraceOptions::new().text(256).structured_ring(1024));
+    /// system.configure_trace(TraceOptions::new().structured_ring(1024));
+    /// assert!(system.structured_trace().is_enabled());
     /// ```
     pub fn configure_trace(&mut self, options: TraceOptions) {
-        if let Some(capacity) = options.text {
-            self.trace = Trace::with_capacity(capacity);
-        }
         match options.structured {
             StructuredMode::Off => {}
             StructuredMode::Ring(capacity) => {
@@ -703,11 +693,6 @@ impl System {
         if let Some(sink) = options.dump_sink {
             self.strace_sink = Some(sink);
         }
-    }
-
-    /// Dumps the retained trace tail.
-    pub fn dump_trace(&self) -> String {
-        self.trace.dump()
     }
 
     /// The structured trace handle (cheap clone; disabled unless a
@@ -878,33 +863,36 @@ impl System {
         }
     }
 
-    /// Pops the next event, stamping the structured trace's clock and
-    /// recording the pop. All run loops drain the queue through this.
-    fn pop_event(&mut self) -> Option<(SimTime, SystemEvent)> {
-        let (t, ev) = self.queue.pop()?;
-        self.strace.set_now(t);
-        self.profiler.set_now(t);
-        self.strace
-            .record(TraceKind::EventPop, None, || format!("{ev:?}"));
-        Some((t, ev))
+    /// The one event loop behind every run method: handles events up to
+    /// `deadline` (inclusive) until `stop` holds, checking it before each
+    /// pop. Each pop stamps the structured trace's and the profiler's
+    /// clocks and is recorded. Returns whether `stop` holds when the loop
+    /// ends.
+    fn run_loop(&mut self, deadline: SimTime, stop: impl Fn(&System) -> bool) -> bool {
+        self.propagate_strace();
+        self.propagate_profiler();
+        let _dump = self.dump_guard();
+        while let Some(t) = self.queue.peek_time() {
+            if t > deadline || stop(self) {
+                break;
+            }
+            let (t, ev) = self.queue.pop().expect("peeked event vanished");
+            self.strace.set_now(t);
+            self.profiler.set_now(t);
+            self.strace
+                .record(TraceKind::EventPop, None, || format!("{ev:?}"));
+            self.handle(ev);
+        }
+        stop(self)
     }
 
     /// Runs the simulation until `deadline` (events at exactly
     /// `deadline` still fire).
     pub fn run_until(&mut self, deadline: SimTime) {
-        self.propagate_strace();
-        self.propagate_profiler();
-        let _dump = self.dump_guard();
         // Merged compute runs end by the deadline, so none is in flight
         // when the caller looks at the system again.
         self.fast_horizon = Some(deadline);
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (_, ev) = self.pop_event().expect("peeked event vanished");
-            self.handle(ev);
-        }
+        self.run_loop(deadline, |_| false);
         self.fast_horizon = None;
         if self.queue.now() < deadline && self.queue.peek_time().is_none_or(|t| t > deadline) {
             self.queue.advance_to(deadline);
@@ -920,21 +908,8 @@ impl System {
     /// Runs until every VM's vCPUs have shut down, or `limit` passes.
     /// Returns `true` if all VMs finished.
     pub fn run_until_done(&mut self, limit: SimDuration) -> bool {
-        self.propagate_strace();
-        self.propagate_profiler();
-        let _dump = self.dump_guard();
         let deadline = self.now() + limit;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            if self.vms.iter().all(|vm| vm.kvm.all_finished()) {
-                break;
-            }
-            let (_, ev) = self.pop_event().expect("peeked event vanished");
-            self.handle(ev);
-        }
-        self.vms.iter().all(|vm| vm.kvm.all_finished())
+        self.run_loop(deadline, |s| s.vms.iter().all(|vm| vm.kvm.all_finished()))
     }
 
     /// Produces the report for `vm`.
@@ -1016,21 +991,10 @@ impl System {
     /// Runs until `vm`'s peer reports completion, or `limit` passes.
     /// Returns `true` if the peer finished.
     pub fn run_until_peer_done(&mut self, vm: VmId, limit: SimDuration) -> bool {
-        self.propagate_strace();
-        self.propagate_profiler();
-        let _dump = self.dump_guard();
         let deadline = self.now() + limit;
-        while let Some(t) = self.queue.peek_time() {
-            if t > deadline {
-                break;
-            }
-            if self.vms[vm.0].peer.as_ref().is_some_and(|p| p.is_done()) {
-                return true;
-            }
-            let (_, ev) = self.pop_event().expect("peeked event vanished");
-            self.handle(ev);
-        }
-        self.vms[vm.0].peer.as_ref().is_some_and(|p| p.is_done())
+        self.run_loop(deadline, |s| {
+            s.vms[vm.0].peer.as_ref().is_some_and(|p| p.is_done())
+        })
     }
 }
 
@@ -1117,7 +1081,7 @@ mod tests {
     #[test]
     fn trace_records_exits_and_entries() {
         let mut system = System::new(SystemConfig::small());
-        system.configure_trace(TraceOptions::new().text(256));
+        system.configure_trace(TraceOptions::new().structured_capture());
         let guest = Box::new(
             GuestKernel::new(
                 1,
@@ -1129,9 +1093,21 @@ mod tests {
         let spec = VmSpec::core_gapped(1).with_device(cg_host::DeviceKind::VirtioNet);
         system.add_vm(spec, guest, None).unwrap();
         system.run_for(SimDuration::millis(30));
-        let dump = system.dump_trace();
-        assert!(dump.contains("system.exit"), "trace:\n{dump}");
-        assert!(dump.contains("system.enter"), "trace:\n{dump}");
+        let records = system.structured_trace().snapshot();
+        let host_cores = system.host_cores();
+        // Exits and entries of a core-gapped vCPU happen on its
+        // dedicated core, never on a host core.
+        let on_vcpu = |prefix: &str| {
+            records.iter().any(|r| {
+                r.kind == TraceKind::Rpc
+                    && r.core.is_some_and(|c| !host_cores.contains(&CoreId(c)))
+                    && r.detail.starts_with(prefix)
+                    && r.detail.contains("vm0.vcpu0")
+            })
+        };
+        let tail = system.structured_trace().render_tail(64);
+        assert!(on_vcpu("run.exit"), "trace:\n{tail}");
+        assert!(on_vcpu("run.enter"), "trace:\n{tail}");
     }
 
     #[test]

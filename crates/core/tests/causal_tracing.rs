@@ -7,8 +7,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use cg_core::experiments::io::{run_netpipe_fastpath_obs, IoPathMode};
-use cg_core::experiments::ivc::run_ivc_stream_obs;
+use cg_core::experiments::io::{run_netpipe_fastpath, IoPathMode};
+use cg_core::experiments::ivc::run_ivc_stream;
 use cg_core::Obs;
 use cg_sim::{FaultPlan, Histogram, SimDuration, Span};
 
@@ -65,7 +65,7 @@ fn assert_connected_trees(spans: &[Span]) -> BTreeMap<u64, Vec<&Span>> {
 #[test]
 fn doorbell_loss_heals_into_connected_trace_trees() {
     let obs = Obs::spans();
-    let run = run_ivc_stream_obs(
+    let run = run_ivc_stream(
         4096,
         120,
         SimDuration::micros(5),
@@ -126,7 +126,7 @@ fn doorbell_loss_heals_into_connected_trace_trees() {
 #[test]
 fn fastpath_request_crosses_three_contexts() {
     let obs = Obs::spans();
-    run_netpipe_fastpath_obs(IoPathMode::Fastpath, &[1500], 3, 42, &obs);
+    run_netpipe_fastpath(IoPathMode::Fastpath, &[1500], 3, 42, &obs);
     let spans = obs.profiler.snapshot();
     let traces = assert_connected_trees(&spans);
     let best = traces
@@ -157,7 +157,7 @@ fn fastpath_request_crosses_three_contexts() {
 #[test]
 fn attribution_components_sum_to_e2e() {
     let obs = Obs::spans();
-    run_netpipe_fastpath_obs(IoPathMode::Fastpath, &[1500], 5, 42, &obs);
+    run_netpipe_fastpath(IoPathMode::Fastpath, &[1500], 5, 42, &obs);
     let report = cg_sim::attribute(&obs.profiler.snapshot());
     let virtio = report
         .planes

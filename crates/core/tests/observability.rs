@@ -3,14 +3,14 @@
 //! perturb the simulation, and the span taxonomy must cover the paths
 //! the profiler instruments.
 
-use cg_core::experiments::latency::{run_vipi_obs, IpiConfig};
+use cg_core::experiments::latency::{run_vipi, IpiConfig};
 use cg_core::Obs;
 use cg_sim::{Histogram, OnlineStats, SimDuration};
 
 /// One fully-instrumented vIPI run; returns the exported artifacts.
 fn instrumented_run() -> (Obs, OnlineStats, Histogram) {
     let obs = Obs::full(SimDuration::micros(500));
-    let (stats, hist) = run_vipi_obs(IpiConfig::CoreGappedNoDelegation, 50, 7, &obs);
+    let (stats, hist) = run_vipi(IpiConfig::CoreGappedNoDelegation, 50, 7, &obs);
     (obs, stats, hist)
 }
 
@@ -33,7 +33,7 @@ fn same_seed_runs_export_byte_identical_artifacts() {
 fn observability_does_not_perturb_the_simulation() {
     let (_, on_stats, on_hist) = instrumented_run();
     let (off_stats, off_hist) =
-        run_vipi_obs(IpiConfig::CoreGappedNoDelegation, 50, 7, &Obs::disabled());
+        run_vipi(IpiConfig::CoreGappedNoDelegation, 50, 7, &Obs::disabled());
     assert_eq!(on_stats.count(), off_stats.count());
     assert_eq!(on_stats.mean(), off_stats.mean());
     assert_eq!(on_hist, off_hist);
@@ -66,7 +66,7 @@ fn world_switches_are_profiled_on_shared_core_cvms() {
     // cores; the trust-boundary crossings show up when a confidential
     // VM shares cores with the host.
     let obs = Obs::spans();
-    cg_core::experiments::scaling::run_coremark_obs(
+    cg_core::experiments::scaling::run_coremark(
         cg_core::experiments::scaling::ScalingConfig::SharedCoreConfidential,
         2,
         SimDuration::millis(20),
@@ -112,9 +112,9 @@ fn timeseries_samples_cover_the_run() {
 #[test]
 fn sequential_runs_rebase_onto_one_timeline() {
     let obs = Obs::spans();
-    run_vipi_obs(IpiConfig::CoreGappedDelegated, 10, 7, &obs);
+    run_vipi(IpiConfig::CoreGappedDelegated, 10, 7, &obs);
     let after_first = obs.profiler.span_count();
-    run_vipi_obs(IpiConfig::CoreGappedDelegated, 10, 7, &obs);
+    run_vipi(IpiConfig::CoreGappedDelegated, 10, 7, &obs);
     assert!(obs.profiler.span_count() > after_first);
     // Spans from the second run must sit after the first run's spans,
     // not overlap them at t=0 again.

@@ -1,12 +1,11 @@
 //! Deterministic, dependency-free JSON construction.
 //!
-//! The vendored `serde` is a no-op marker crate, so machine-readable
-//! exports are built by hand. [`Json`] is a tiny document model whose
-//! rendering is fully deterministic: object keys keep their insertion
-//! order (callers insert in a fixed order or use sorted maps), floats
-//! render through Rust's shortest-roundtrip `Display` (stable across
-//! platforms), and non-finite floats degrade to `null` so the output is
-//! always valid JSON.
+//! Machine-readable exports are built by hand, with no serialisation
+//! crate. [`Json`] is a tiny document model whose rendering is fully
+//! deterministic: object keys keep their insertion order (callers insert
+//! in a fixed order or use sorted maps), floats render through Rust's
+//! shortest-roundtrip `Display` (stable across platforms), and non-finite
+//! floats degrade to `null` so the output is always valid JSON.
 
 use std::fmt::Write as _;
 
@@ -63,9 +62,9 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document (recursive descent; the vendored `serde`
-    /// is a no-op marker crate, so reading exports back — e.g. for
-    /// cross-bench aggregation — is hand-rolled too). Numbers parse to
+    /// Parses a JSON document (recursive descent; reading exports back —
+    /// e.g. for cross-bench aggregation — is hand-rolled like writing
+    /// them). Numbers parse to
     /// [`Json::UInt`] / [`Json::Int`] when they are integral and fit,
     /// [`Json::Num`] otherwise.
     pub fn parse(text: &str) -> Result<Json, String> {

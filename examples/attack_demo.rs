@@ -6,12 +6,13 @@
 
 use coregap::sim::SimDuration;
 use coregap::system::experiments::security::{run_attack, AttackScenario};
+use coregap::system::Obs;
 
 fn main() {
     println!("A victim CVM computes on a planted secret while an attacker VM");
     println!("probes the microarchitectural state of the core it runs on.\n");
     for scenario in AttackScenario::ALL {
-        let outcome = run_attack(scenario, SimDuration::millis(100), 7);
+        let outcome = run_attack(scenario, SimDuration::millis(100), 7, &Obs::disabled());
         println!("== {}", scenario.label());
         println!("   attacker probes:            {}", outcome.probes);
         println!("   same-core observations:     {}", outcome.same_core_leaks);

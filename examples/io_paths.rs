@@ -5,6 +5,7 @@
 //! Run with: `cargo run --example io_paths --release`
 
 use coregap::system::experiments::io::{run_netpipe, NetpipeConfig};
+use coregap::system::Obs;
 
 fn main() {
     let sizes = [64u64, 1500, 65536];
@@ -15,7 +16,7 @@ fn main() {
     );
     let mut results = Vec::new();
     for config in NetpipeConfig::ALL {
-        results.push(run_netpipe(config, &sizes, 10, 42));
+        results.push(run_netpipe(config, &sizes, 10, 42, &Obs::disabled()));
     }
     for &s in &sizes {
         print!("{s:>9}");

@@ -52,12 +52,6 @@ for p in sys.argv[1:]:
     json.load(open(p))' "$tmp/a.json" "$tmp/a.trace.json"
   fi
 
-  echo "== fault_sweep smoke (same seed + same plan must be byte-identical) =="
-  for run in fa fb; do
-    ./target/release/fault_sweep --quick --json "$tmp/$run.json" >/dev/null
-  done
-  cmp "$tmp/fa.json" "$tmp/fb.json"
-
   echo "== io_fastpath smoke (I/O-plane runs must be byte-identical) =="
   for run in ia ib; do
     ./target/release/io_fastpath --quick --json "$tmp/$run.json" \
@@ -97,30 +91,9 @@ PY
     echo "python3 not installed; skipping trace validation"
   fi
 
-  echo "== ivc_pingpong smoke (channel + fault runs must be byte-identical) =="
-  for run in va vb; do
-    ./target/release/ivc_pingpong --quick --json "$tmp/$run.json" >/dev/null
-  done
-  cmp "$tmp/va.json" "$tmp/vb.json"
-
-  echo "== churn smoke (elastic churn runs must be byte-identical) =="
-  for run in ca cb; do
-    ./target/release/churn --quick --json "$tmp/$run.json" >/dev/null
-  done
-  cmp "$tmp/ca.json" "$tmp/cb.json"
-
-  echo "== migrate smoke (live-migration runs must be byte-identical) =="
-  for run in ma mb; do
-    ./target/release/migrate --quick --json "$tmp/$run.json" >/dev/null
-  done
-  cmp "$tmp/ma.json" "$tmp/mb.json"
-
-  echo "== fleet smoke (serving-plane runs must be byte-identical) =="
-  for run in fa fb; do
-    ./target/release/fleet --quick --json "$tmp/$run.json" >/dev/null
-  done
-  cmp "$tmp/fa.json" "$tmp/fb.json"
-
+  # Every bin's --quick --json run is compared byte for byte against a
+  # file written by an earlier process, which also covers same-seed
+  # determinism of those runs.
   echo "== golden outputs (a fresh --quick sweep must equal results/golden/) =="
   # Regenerate after an intended output change with
   #   for g in results/golden/*.json; do b=$(basename "$g" .json);
@@ -140,7 +113,7 @@ PY
 
   echo "== cargo doc (deny warnings; vendored stand-ins excluded) =="
   RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet \
-    --exclude rand --exclude proptest --exclude criterion --exclude serde
+    --exclude rand --exclude proptest --exclude criterion
 fi
 
 echo "== all checks passed =="

@@ -2,7 +2,7 @@
 
 use cg_core::experiments::latency::{run_vipi, IpiConfig};
 use cg_core::experiments::scaling::{run_coremark, ScalingConfig};
-use cg_core::{System, SystemConfig, TraceOptions, VmSpec};
+use cg_core::{Obs, System, SystemConfig, TraceOptions, VmSpec};
 use cg_sim::SimDuration;
 use cg_workloads::coremark::CoremarkPro;
 use cg_workloads::kernel::GuestKernel;
@@ -10,7 +10,13 @@ use cg_workloads::kernel::GuestKernel;
 #[test]
 fn identical_seeds_produce_identical_runs() {
     let run = |seed| {
-        let r = run_coremark(ScalingConfig::CoreGapped, 4, SimDuration::millis(200), seed);
+        let (r, _) = run_coremark(
+            ScalingConfig::CoreGapped,
+            4,
+            SimDuration::millis(200),
+            seed,
+            &Obs::disabled(),
+        );
         (r.score.to_bits(), r.exits_total, r.exits_interrupt)
     };
     assert_eq!(run(7), run(7));
@@ -19,8 +25,8 @@ fn identical_seeds_produce_identical_runs() {
 
 #[test]
 fn vipi_measurements_are_reproducible() {
-    let a = run_vipi(IpiConfig::CoreGappedDelegated, 50, 3);
-    let b = run_vipi(IpiConfig::CoreGappedDelegated, 50, 3);
+    let (a, _) = run_vipi(IpiConfig::CoreGappedDelegated, 50, 3, &Obs::disabled());
+    let (b, _) = run_vipi(IpiConfig::CoreGappedDelegated, 50, 3, &Obs::disabled());
     assert_eq!(a.mean().to_bits(), b.mean().to_bits());
     assert_eq!(a.count(), b.count());
 }

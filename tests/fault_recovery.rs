@@ -10,6 +10,7 @@
 
 use cg_core::config::RecoveryConfig;
 use cg_core::experiments::faults::run_fault_sweep;
+use cg_core::Obs;
 use cg_sim::{FaultPlan, SimDuration};
 
 /// With retries + watchdog enabled, 10% doorbell loss must leave zero
@@ -21,6 +22,7 @@ fn doorbell_loss_recovers_with_zero_wedged_channels() {
         RecoveryConfig::paper_default(),
         SimDuration::millis(50),
         42,
+        &Obs::disabled(),
     );
     assert!(r.doorbells_dropped > 0, "injector must bite");
     assert!(
@@ -41,6 +43,7 @@ fn without_recovery_doorbell_loss_wedges_channels() {
         RecoveryConfig::disabled(),
         SimDuration::millis(50),
         42,
+        &Obs::disabled(),
     );
     assert!(r.doorbells_dropped > 0, "injector must bite");
     assert_eq!(r.retries, 0, "recovery is off");
@@ -62,6 +65,7 @@ fn faulty_runs_are_deterministic() {
             RecoveryConfig::paper_default(),
             SimDuration::millis(30),
             1234,
+            &Obs::disabled(),
         )
     };
     let (a, b) = (run(), run());
@@ -82,6 +86,7 @@ fn different_seeds_produce_different_fault_schedules() {
             RecoveryConfig::paper_default(),
             SimDuration::millis(30),
             seed,
+            &Obs::disabled(),
         )
     };
     let (a, b) = (run(1), run(2));
@@ -121,6 +126,7 @@ fn combined_fault_plan_still_completes() {
         RecoveryConfig::paper_default(),
         SimDuration::millis(50),
         7,
+        &Obs::disabled(),
     );
     assert!(r.doorbells_dropped > 0);
     assert!(r.doorbells_delayed > 0);
@@ -143,6 +149,7 @@ fn watchdog_alone_recovers_stranded_exits() {
         recovery,
         SimDuration::millis(50),
         42,
+        &Obs::disabled(),
     );
     assert!(r.doorbells_dropped > 0, "injector must bite");
     assert_eq!(r.retries, 0, "timeouts must never fire in this run");

@@ -8,6 +8,7 @@
 //! than off under overload.
 
 use cg_core::experiments::fleet::{run_fleet, FleetConfig};
+use cg_core::Obs;
 use cg_sim::{FaultPlan, SimDuration};
 
 /// The paper configuration under a 10% request-burst plan: client
@@ -23,7 +24,10 @@ fn bursty() -> FleetConfig {
 /// metrics fingerprint (which folds in every fleet.* counter).
 #[test]
 fn fleet_runs_are_deterministic_under_request_bursts() {
-    let (a, b) = (run_fleet(&bursty()), run_fleet(&bursty()));
+    let (a, b) = (
+        run_fleet(&bursty(), &Obs::disabled()),
+        run_fleet(&bursty(), &Obs::disabled()),
+    );
     assert_eq!(a.fingerprint, b.fingerprint);
     assert_eq!(a.offered, b.offered);
     assert_eq!(a.shed, b.shed);
@@ -34,7 +38,7 @@ fn fleet_runs_are_deterministic_under_request_bursts() {
     }
     let mut other = bursty();
     other.seed ^= 1;
-    let c = run_fleet(&other);
+    let c = run_fleet(&other, &Obs::disabled());
     assert_ne!(a.fingerprint, c.fingerprint, "seed must matter");
 }
 
@@ -44,7 +48,7 @@ fn fleet_runs_are_deterministic_under_request_bursts() {
 /// duplicates and a mid-run migration.
 #[test]
 fn shed_accounting_closes_under_request_bursts() {
-    let r = run_fleet(&bursty());
+    let r = run_fleet(&bursty(), &Obs::disabled());
     assert_eq!(r.offered, r.admitted + r.shed);
     assert_eq!(r.admitted, r.completed + r.in_flight);
     for t in &r.tenants {
@@ -62,8 +66,11 @@ fn shed_accounting_closes_under_request_bursts() {
 /// as a miss.
 #[test]
 fn shedding_on_beats_shedding_off_under_overload() {
-    let on = run_fleet(&FleetConfig::paper_default());
-    let off = run_fleet(&FleetConfig::paper_default().shedding_off());
+    let on = run_fleet(&FleetConfig::paper_default(), &Obs::disabled());
+    let off = run_fleet(
+        &FleetConfig::paper_default().shedding_off(),
+        &Obs::disabled(),
+    );
     assert_eq!(on.offered, off.offered, "same offered load by design");
     assert!(
         on.attainment > off.attainment,
@@ -72,7 +79,10 @@ fn shedding_on_beats_shedding_off_under_overload() {
         off.attainment
     );
     // And the elastic plane must beat being stuck at the initial size.
-    let stat = run_fleet(&FleetConfig::paper_default().static_allocation());
+    let stat = run_fleet(
+        &FleetConfig::paper_default().static_allocation(),
+        &Obs::disabled(),
+    );
     assert!(
         on.attainment > stat.attainment,
         "elastic {:.3} must beat static {:.3}",
@@ -86,7 +96,7 @@ fn shedding_on_beats_shedding_off_under_overload() {
 /// rebalancing migration to the cold node.
 #[test]
 fn saturation_triggers_growth_and_migration() {
-    let r = run_fleet(&FleetConfig::paper_default());
+    let r = run_fleet(&FleetConfig::paper_default(), &Obs::disabled());
     assert!(r.resizes_up > 0, "SLO pressure must grow the hot tenants");
     assert!(
         r.migrations > 0,
@@ -107,7 +117,10 @@ fn frontend_stalls_shed_with_typed_reason() {
         plan: FaultPlan::frontend_stalls(0.02, SimDuration::micros(200)),
         ..FleetConfig::paper_default()
     };
-    let (a, b) = (run_fleet(&cfg), run_fleet(&cfg));
+    let (a, b) = (
+        run_fleet(&cfg, &Obs::disabled()),
+        run_fleet(&cfg, &Obs::disabled()),
+    );
     assert_eq!(a.fingerprint, b.fingerprint);
     let stalled: u64 = a
         .tenants

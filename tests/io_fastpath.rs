@@ -6,6 +6,7 @@
 use cg_core::config::{SystemConfig, VmSpec};
 use cg_core::experiments::io::{run_netpipe_fastpath, IoPathMode};
 use cg_core::system::System;
+use cg_core::Obs;
 use cg_host::DeviceKind;
 use cg_sim::{FaultPlan, SimDuration};
 use cg_workloads::iozone::Iozone;
@@ -59,8 +60,8 @@ fn sriov_data_path_takes_no_exits() {
 /// quadrupling the round trips adds no REC exits.
 #[test]
 fn fastpath_publish_takes_no_exits() {
-    let short = run_netpipe_fastpath(IoPathMode::Fastpath, &[1500], 10, 9);
-    let long = run_netpipe_fastpath(IoPathMode::Fastpath, &[1500], 40, 9);
+    let short = run_netpipe_fastpath(IoPathMode::Fastpath, &[1500], 10, 9, &Obs::disabled());
+    let long = run_netpipe_fastpath(IoPathMode::Fastpath, &[1500], 40, 9, &Obs::disabled());
     assert!(long.stats.kicks > short.stats.kicks);
     assert_eq!(short.stats.exits_total, long.stats.exits_total);
 }

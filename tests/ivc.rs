@@ -3,7 +3,7 @@
 //! fault idempotence, end to end through the system builder.
 
 use cg_core::experiments::ivc::IVC_CHANNEL;
-use cg_core::{System, SystemConfig, VmId, VmSpec};
+use cg_core::{Obs, System, SystemConfig, VmId, VmSpec};
 use cg_sim::{FaultPlan, SimDuration};
 use cg_workloads::ivc::{IvcConsumer, IvcProducer};
 use cg_workloads::kernel::GuestKernel;
@@ -110,6 +110,7 @@ fn duplicated_doorbells_are_idempotent() {
             SimDuration::micros(5),
             seed,
             plan.clone(),
+            &Obs::disabled(),
         )
     };
     let a = run(11);

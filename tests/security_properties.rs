@@ -4,6 +4,7 @@
 
 use cg_attacks::leakage::probe_core;
 use cg_core::experiments::security::{run_attack, AttackScenario};
+use cg_core::Obs;
 use cg_machine::{CoreId, Domain, HwParams, Machine, SecretId};
 use cg_sim::SimDuration;
 use proptest::prelude::*;
@@ -15,7 +16,7 @@ proptest! {
     /// through per-core structures, and the attacker still runs.
     #[test]
     fn core_gapping_never_leaks_same_core(seed in 0u64..10_000, millis in 10u64..80) {
-        let o = run_attack(AttackScenario::CoreGapped, SimDuration::millis(millis), seed);
+        let o = run_attack(AttackScenario::CoreGapped, SimDuration::millis(millis), seed, &Obs::disabled());
         prop_assert!(o.probes > 0);
         prop_assert_eq!(o.same_core_leaks, 0);
         prop_assert_eq!(o.same_core_secret_leaks, 0);
@@ -27,7 +28,7 @@ proptest! {
         let o = run_attack(
             AttackScenario::SharedCoreTimeSliced,
             SimDuration::millis(40),
-            seed,
+            seed, &Obs::disabled(),
         );
         prop_assert!(o.same_core_secret_leaks > 0);
     }
